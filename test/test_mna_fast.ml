@@ -363,17 +363,27 @@ let test_fast_journal_telemetry () =
       | _ -> Alcotest.fail "newton.step missing nsub")
     steps
 
-(* ---- Golden traces for the fast path ---- *)
+(* ---- Golden baselines ---- *)
 
-(* Regenerate after an intentional controller change:
+(* Regenerate after an intentional engine change:
 
      AMSVP_GOLDEN_REGEN=1 dune exec test/test_mna_fast.exe -- test golden
-     cp _build/default/test/fixtures/fast_*.golden test/fixtures/
-*)
+     cp _build/default/test/fixtures/{fast,paper,eln}_*.golden test/fixtures/
+
+   The [paper_*] and [eln_*] goldens pin the [`Paper] and ELN engines
+   bit for bit: the trace, and for [`Paper] also the per-run [stats],
+   the [newton] record and every [mna] journal event of a journal-on
+   run, floats in [%h]. *)
 let golden_cases =
   [
     ("fast_rc20", Circuits.rc_ladder 20, 1e-5, 1e-3);
     ("fast_rect", Circuits.rectifier (), 1e-5, 2e-3);
+  ]
+
+let paper_golden_cases =
+  [
+    ("paper_rc20", Circuits.rc_ladder 20, 1e-5, 1e-3);
+    ("paper_rect", Circuits.rectifier (), 1e-5, 2e-3);
   ]
 
 let fixture_dir =
@@ -393,26 +403,81 @@ let trace_text t =
   done;
   Buffer.contents b
 
+let check_golden base text =
+  let golden = Filename.concat fixture_dir (base ^ ".golden") in
+  if Sys.getenv_opt "AMSVP_GOLDEN_REGEN" = Some "1" then begin
+    (try Sys.remove golden with Sys_error _ -> ());
+    let oc = open_out_bin golden in
+    output_string oc text;
+    close_out oc
+  end
+  else if not (Sys.file_exists golden) then
+    Alcotest.failf "%s missing — run with AMSVP_GOLDEN_REGEN=1" golden
+  else
+    let expected = read_file golden in
+    if not (String.equal expected text) then
+      Alcotest.failf "%s drifted from its golden baseline" base
+
 let test_golden_fast_traces () =
-  let regen = Sys.getenv_opt "AMSVP_GOLDEN_REGEN" = Some "1" in
   List.iter
     (fun (base, tc, dt, t_stop) ->
-      let golden = Filename.concat fixture_dir (base ^ ".golden") in
       let r = Engine.run_testcase_spice ~fidelity:`Fast tc ~dt ~t_stop in
-      let text = trace_text r.trace in
-      if regen then begin
-        (try Sys.remove golden with Sys_error _ -> ());
-        let oc = open_out_bin golden in
-        output_string oc text;
-        close_out oc
-      end
-      else if not (Sys.file_exists golden) then
-        Alcotest.failf "%s missing — run with AMSVP_GOLDEN_REGEN=1" golden
-      else
-        let expected = read_file golden in
-        if not (String.equal expected text) then
-          Alcotest.failf "%s drifted from its golden baseline" base)
+      check_golden base (trace_text r.trace))
     golden_cases
+
+let journal_value = function
+  | Journal.F f -> Printf.sprintf "%h" f
+  | Journal.I i -> string_of_int i
+  | Journal.S s -> s
+  | Journal.B b -> string_of_bool b
+
+let paper_golden_text tc ~dt ~t_stop =
+  Journal.reset ();
+  Journal.disable ();
+  let off = Engine.run_testcase_spice ~fidelity:`Paper tc ~dt ~t_stop in
+  Journal.enable ();
+  let on =
+    Fun.protect ~finally:Journal.disable (fun () ->
+        Engine.run_testcase_spice ~fidelity:`Paper tc ~dt ~t_stop)
+  in
+  check_traces "paper journal on/off" off.trace on.trace;
+  let b = Buffer.create 65536 in
+  Buffer.add_string b (trace_text off.trace);
+  let s = on.stats in
+  Printf.bprintf b "stats steps=%d device_evals=%d factorizations=%d solves=%d\n"
+    s.steps s.device_evals s.factorizations s.solves;
+  (match on.newton with
+  | None -> Alcotest.fail "journal-on `Paper run must report newton"
+  | Some nw ->
+      Printf.bprintf b
+        "newton total_iters=%d wasted_iters=%d max_residual=%h pivot_min=%h \
+         pivot_max=%h dt_stress=%h stressed_substeps=%d\n"
+        nw.total_iters nw.wasted_iters nw.max_residual nw.pivot_min
+        nw.pivot_max nw.dt_stress nw.stressed_substeps);
+  List.iter
+    (fun (e : Journal.event) ->
+      if e.cat = "mna" then begin
+        Printf.bprintf b "event %s %s step=%d time=%h"
+          (Journal.severity_label e.severity)
+          e.name e.step e.time;
+        List.iter
+          (fun (k, v) -> Printf.bprintf b " %s=%s" k (journal_value v))
+          e.payload;
+        Buffer.add_char b '\n'
+      end)
+    (Journal.events ());
+  Journal.reset ();
+  Buffer.contents b
+
+let test_golden_paper () =
+  List.iter
+    (fun (base, tc, dt, t_stop) ->
+      check_golden base (paper_golden_text tc ~dt ~t_stop))
+    paper_golden_cases
+
+let test_golden_eln () =
+  let r = Engine.run_testcase_eln (Circuits.rc_ladder 20) ~dt:1e-5 ~t_stop:1e-3 in
+  check_golden "eln_rc20" (trace_text r.trace)
 
 (* ---- Stepper parity: the VP embedding of the fast engine ---- *)
 
@@ -481,5 +546,7 @@ let () =
       ( "golden",
         [
           Alcotest.test_case "fast golden traces" `Quick test_golden_fast_traces;
+          Alcotest.test_case "paper golden runs" `Quick test_golden_paper;
+          Alcotest.test_case "eln golden trace" `Quick test_golden_eln;
         ] );
     ]
