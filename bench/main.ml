@@ -156,28 +156,12 @@ let mna_fast_rows : mna_fast_row list ref = ref []
 (* Per-section span accounting, written as "sections" in
    BENCH_results.json. The recorder runs for the whole harness; each
    section remembers the [Obs.span_count] interval it produced. Self
-   time is a span's duration minus the total duration of its direct
-   children, computed over the completion-ordered span list with a
-   per-(domain, depth) pending table -- a child always completes
-   before its parent, and depth only nests within one domain. *)
+   time is [Obs.self_times]. *)
 let section_spans : (string * int * int) list ref = ref []
-
-let self_times (spans : Obs.span array) =
-  let pending : (int * int, int) Hashtbl.t = Hashtbl.create 32 in
-  let get k = Option.value ~default:0 (Hashtbl.find_opt pending k) in
-  Array.map
-    (fun (s : Obs.span) ->
-      let child = (s.Obs.dom, s.Obs.depth + 1) in
-      let self = s.Obs.dur_ns - get child in
-      Hashtbl.remove pending child;
-      let mine = (s.Obs.dom, s.Obs.depth) in
-      Hashtbl.replace pending mine (get mine + s.Obs.dur_ns);
-      self)
-    spans
 
 let sections_json b =
   let spans = Array.of_list (Obs.spans ()) in
-  let selfs = self_times spans in
+  let selfs = Obs.self_times spans in
   Buffer.add_string b ",\n  \"sections\": [";
   List.iteri
     (fun i (name, lo, hi) ->

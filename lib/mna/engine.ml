@@ -80,217 +80,203 @@ let newton_atol = 1e-12
    time constant. *)
 let stress_threshold = 0.5
 
+(* Substep controller thresholds for the fast path: refine (double the
+   substep count and redo the reporting step) when the second-difference
+   LTE proxy crosses [lte_refine] or a substep is dt-stressed; relax
+   (halve) when the whole step stayed comfortably below the band. *)
+let lte_refine = 0.05
+let lte_relax = lte_refine /. 8.0
+
+(* Update norm ||xn - prev||_inf and iterate scale ||xn||_inf. *)
+let update_norm prev xn =
+  let delta = ref 0.0 and scale = ref 0.0 in
+  for i = 0 to Array.length xn - 1 do
+    let d = abs_float (xn.(i) -. prev.(i)) in
+    if d > !delta then delta := d;
+    let m = abs_float xn.(i) in
+    if m > !scale then scale := m
+  done;
+  (!delta, !scale)
+
+let converged delta scale = delta <= (newton_rtol *. scale) +. newton_atol
+
+(* Stress (largest relative state motion over the substep x0 -> x1)
+   and, given the state one substep earlier [xm], the LTE proxy (scaled
+   second difference, ~ h^2/2 * |x''|; 0 without [xm]). *)
+let motion ?xm x0 x1 =
+  let stress = ref 0.0 and lte = ref 0.0 in
+  for i = 0 to Array.length x0 - 1 do
+    let m = Float.max (abs_float x0.(i)) (abs_float x1.(i)) in
+    if m > newton_atol then begin
+      let r = abs_float (x1.(i) -. x0.(i)) /. m in
+      if r > !stress then stress := r;
+      match xm with
+      | None -> ()
+      | Some xm ->
+          let l =
+            abs_float (x1.(i) -. (2.0 *. x0.(i)) +. xm.(i)) /. (2.0 *. m)
+          in
+          if l > !lte then lte := l
+    end
+  done;
+  (!stress, !lte)
+
+(* Solver work done since the last flush into the registry counters:
+   a stepper flushes after every tick, a whole-run driver once. *)
+type work = {
+  mutable w_device_evals : int;
+  mutable w_factorizations : int;
+  mutable w_solves : int;
+  mutable w_rhs_builds : int;
+}
+
+let new_work () =
+  { w_device_evals = 0; w_factorizations = 0; w_solves = 0; w_rhs_builds = 0 }
+
+let flush_work w ~steps =
+  let add c n = if n > 0 then Obs.Counter.add c n in
+  add c_steps steps;
+  add c_device_evals w.w_device_evals;
+  add c_factorizations w.w_factorizations;
+  add c_solves w.w_solves;
+  add c_rhs_builds w.w_rhs_builds;
+  w.w_device_evals <- 0;
+  w.w_factorizations <- 0;
+  w.w_solves <- 0;
+  w.w_rhs_builds <- 0
+
+(* Convergence telemetry of a whole run, passed to the step function by
+   the whole-run driver only (steppers run inside a DE kernel; the host
+   owns observability). [journal] gates the per-event records; the
+   [step_*] fields describe the last reporting step. *)
+type telemetry = {
+  journal : bool;
+  mutable total_iters : int;
+  mutable wasted_iters : int;
+  mutable max_residual : float;
+  mutable pivot_min : float;
+  mutable pivot_max : float;
+  mutable dt_stress : float;
+  mutable stressed_substeps : int;
+  mutable step_residual : float;
+  mutable step_converged_at : int;
+  mutable step_wasted : int;
+  mutable step_stress : float;
+  mutable step_nsub : int;
+}
+
+let new_telemetry ~journal =
+  { journal; total_iters = 0; wasted_iters = 0; max_residual = 0.0;
+    pivot_min = infinity; pivot_max = 0.0; dt_stress = 0.0;
+    stressed_substeps = 0; step_residual = 0.0; step_converged_at = 0;
+    step_wasted = 0; step_stress = 0.0; step_nsub = 0 }
+
+let note_pivots tl (mn, mx) =
+  if mn < tl.pivot_min then tl.pivot_min <- mn;
+  if mx > tl.pivot_max then tl.pivot_max <- mx
+
+(* End of a Newton substep: its final update norm and converging pass. *)
+let note_substep tl ~last_delta ~converged_at =
+  if tl.journal then Obs.Histogram.observe h_newton_residual last_delta;
+  if last_delta > tl.max_residual then tl.max_residual <- last_delta;
+  tl.step_residual <- last_delta;
+  tl.step_converged_at <- converged_at
+
+(* An accepted substep's relative state motion. *)
+let note_stress tl stress =
+  if stress > tl.dt_stress then tl.dt_stress <- stress;
+  if stress > stress_threshold then
+    tl.stressed_substeps <- tl.stressed_substeps + 1
+
+(* Journal a singular pivot (whole-run journal only) and re-raise. *)
+let singular tel ~step ~time ~n k =
+  (match tel with
+  | Some tl when tl.journal ->
+      Journal.emit ~severity:Journal.Error ~step ~time ~cat:"mna"
+        "singular_pivot"
+        [ ("column", Journal.I k); ("dim", Journal.I n) ]
+  | _ -> ());
+  raise (Matrix.Singular k)
+
+(* Run summary: the [conditioning] and [dt_stress] warnings and the
+   [newton.run] record, plus the telemetry as returned to the caller. *)
+let summarize tl ~nsteps ~dt ~substeps ~n =
+  Obs.Counter.add c_newton_wasted tl.wasted_iters;
+  if tl.journal then begin
+    let pivot_ratio =
+      if tl.pivot_min > 0.0 && tl.pivot_min < infinity then
+        tl.pivot_max /. tl.pivot_min
+      else infinity
+    in
+    let f v = Journal.F v and i v = Journal.I v in
+    if pivot_ratio > 1e12 then
+      Journal.emit ~severity:Journal.Warn ~cat:"mna" "conditioning"
+        [ ("pivot_min", f tl.pivot_min); ("pivot_max", f tl.pivot_max);
+          ("pivot_ratio", f pivot_ratio) ];
+    if tl.stressed_substeps > 0 then
+      Journal.emit ~severity:Journal.Warn ~cat:"mna" "dt_stress"
+        [ ("max_rel_change", f tl.dt_stress);
+          ("stressed_substeps", i tl.stressed_substeps); ("dt", f dt);
+          ("substeps", i substeps) ];
+    Journal.emit ~cat:"mna" "newton.run"
+      [ ("steps", i nsteps); ("total_iters", i tl.total_iters);
+        ("wasted_iters", i tl.wasted_iters);
+        ("max_residual", f tl.max_residual); ("pivot_min", f tl.pivot_min);
+        ("pivot_max", f tl.pivot_max); ("dt_stress", f tl.dt_stress);
+        ("dim", i n) ]
+  end;
+  { total_iters = tl.total_iters; wasted_iters = tl.wasted_iters;
+    max_residual = tl.max_residual; pivot_min = tl.pivot_min;
+    pivot_max = tl.pivot_max; dt_stress = tl.dt_stress;
+    stressed_substeps = tl.stressed_substeps }
+
 let check_args ~dt ~t_stop =
   if dt <= 0.0 then invalid_arg "Engine: dt must be positive";
   if t_stop < dt then invalid_arg "Engine: t_stop shorter than one step"
 
+(* Whole-run stimulus lookup: input [name] sampled at time [t]. *)
 let input_fun inputs =
-  let tbl = Hashtbl.create 8 in
-  List.iter (fun (name, f) -> Hashtbl.replace tbl name f) inputs;
+  let tbl = Hashtbl.of_seq (List.to_seq inputs) in
   fun t name ->
     match Hashtbl.find_opt tbl name with
     | Some f -> f t
     | None -> invalid_arg ("Engine: no stimulus bound to input " ^ name)
 
-(* The faithful paper-cost-model path. This body is kept byte-for-byte
-   the pre-fidelity [spice_like]: `Paper must stay bit-identical. *)
-let spice_like_paper ?(substeps = 8) ?(iterations = 3) ?observe circuit ~inputs
-    ~output ~dt ~t_stop =
-  check_args ~dt ~t_stop;
-  if substeps < 1 || iterations < 1 then
-    invalid_arg "Engine.spice_like: substeps and iterations must be >= 1";
-  Obs.with_span ~cat:"mna" "mna.spice_like" @@ fun () ->
-  let sys = System.build circuit in
-  let n = System.size sys in
-  let input_at = input_fun inputs in
-  let h = dt /. float_of_int substeps in
-  let nsteps = int_of_float (Float.round (t_stop /. dt)) in
-  let x = ref (Array.make n 0.0) in
-  let rhs = Array.make n 0.0 in
-  let trace = Trace.create ~capacity:(nsteps + 1) () in
-  let device_evals = ref 0 and factorizations = ref 0 and solves = ref 0 in
-  (* Convergence telemetry, computed only while the journal records
-     events: the fixed Newton budget never reads the residual, so with
-     the journal off the inner loop runs exactly as before. *)
-  let jn = Journal.enabled () in
-  let total_iters = ref 0 and wasted_iters = ref 0 in
-  let max_residual = ref 0.0 in
-  let pivot_min = ref infinity and pivot_max = ref 0.0 in
-  let dt_stress = ref 0.0 and stressed_substeps = ref 0 in
-  let reader v = System.output_value sys v !x in
-  Trace.add trace ~time:0.0 ~value:(System.output_value sys output !x);
-  (match observe with None -> () | Some f -> f 0.0 reader);
-  for step = 1 to nsteps do
-    let t_base = float_of_int (step - 1) *. dt in
-    (* Per-reporting-step journal aggregates. *)
-    let step_residual = ref 0.0 in
-    let step_converged_at = ref 0 in
-    let step_wasted = ref 0 in
-    let step_stress = ref 0.0 in
-    for sub = 1 to substeps do
-      (* The last substep lands exactly on the reporting instant so that
-         stimulus edges are sampled at the same points as the
-         fixed-step engines (no knife-edge drift on square waves). *)
-      let t =
-        if sub = substeps then float_of_int step *. dt
-        else t_base +. (float_of_int sub *. h)
-      in
-      let input = input_at t in
-      let x_next = ref !x in
-      let converged_at = ref 0 in
-      let last_delta = ref infinity in
-      for iter = 1 to iterations do
-        (* Device evaluation: the full system is re-stamped (with
-           piecewise-linear regions selected by the latest estimate),
-           then re-factored, at every solver pass — the SPICE cost
-           model. *)
-        let m = System.stamp_matrix ~state:!x_next sys ~h in
-        incr device_evals;
-        System.stamp_rhs sys ~h ~state:!x ~input ~rhs;
-        let lu =
-          try Matrix.lu_factor m
-          with Matrix.Singular k ->
-            if jn then
-              Journal.emit ~severity:Journal.Error ~step ~time:t ~cat:"mna"
-                "singular_pivot"
-                [ ("column", Journal.I k); ("dim", Journal.I n) ];
-            raise (Matrix.Singular k)
-        in
-        incr factorizations;
-        let prev = !x_next in
-        x_next := Matrix.lu_solve lu rhs;
-        incr solves;
-        if jn then begin
-          incr total_iters;
-          (* Conditioning proxy sampled on the final pass only: the
-             re-stamped matrix drifts little between passes, and the
-             diagonal scan is a third of the telemetry's cost. *)
-          if iter = iterations then begin
-            let mn, mx = Matrix.pivot_range lu in
-            if mn < !pivot_min then pivot_min := mn;
-            if mx > !pivot_max then pivot_max := mx
-          end;
-          (* Update norm ||x_k - x_{k-1}||_inf against the iterate
-             scale; [prev] is the previous Newton iterate (the substep
-             start state on the first pass). *)
-          let delta = ref 0.0 and scale = ref 0.0 in
-          let xn = !x_next in
-          for i = 0 to n - 1 do
-            let d = abs_float (xn.(i) -. prev.(i)) in
-            if d > !delta then delta := d;
-            let m = abs_float xn.(i) in
-            if m > !scale then scale := m
-          done;
-          last_delta := !delta;
-          if !converged_at > 0 then begin
-            incr wasted_iters;
-            incr step_wasted
-          end
-          else if !delta <= (newton_rtol *. !scale) +. newton_atol then
-            converged_at := iter
-        end
-      done;
-      if jn then begin
-        Obs.Histogram.observe h_newton_residual !last_delta;
-        if !last_delta > !max_residual then max_residual := !last_delta;
-        step_residual := !last_delta;
-        step_converged_at := !converged_at;
-        (* Relative state motion across this one substep. *)
-        let stress = ref 0.0 in
-        let x0 = !x and x1 = !x_next in
-        for i = 0 to n - 1 do
-          let m = Float.max (abs_float x0.(i)) (abs_float x1.(i)) in
-          if m > newton_atol then begin
-            let r = abs_float (x1.(i) -. x0.(i)) /. m in
-            if r > !stress then stress := r
-          end
-        done;
-        if !stress > !step_stress then step_stress := !stress;
-        if !stress > !dt_stress then dt_stress := !stress;
-        if !stress > stress_threshold then incr stressed_substeps
-      end;
-      x := !x_next
-    done;
-    Obs.Histogram.observe h_solver_passes
-      (float_of_int (substeps * iterations));
-    let t_report = float_of_int step *. dt in
-    if jn then
-      Journal.emit ~step ~time:t_report ~cat:"mna" "newton.step"
-        [
-          ("residual", Journal.F !step_residual);
-          ("converged_at", Journal.I !step_converged_at);
-          ("wasted", Journal.I !step_wasted);
-          ("stress", Journal.F !step_stress);
-        ];
-    Trace.add trace ~time:t_report
-      ~value:(System.output_value sys output !x);
-    match observe with None -> () | Some f -> f t_report reader
-  done;
-  Obs.Counter.add c_steps nsteps;
-  Obs.Counter.add c_device_evals !device_evals;
-  Obs.Counter.add c_factorizations !factorizations;
-  Obs.Counter.add c_solves !solves;
-  Obs.Counter.add c_rhs_builds !solves;
-  Obs.Gauge.set g_matrix_dim (float_of_int n);
-  let newton =
-    if not jn then None
-    else begin
-      Obs.Counter.add c_newton_wasted !wasted_iters;
-      let pivot_ratio =
-        if !pivot_min > 0.0 && !pivot_min < infinity then
-          !pivot_max /. !pivot_min
-        else infinity
-      in
-      if pivot_ratio > 1e12 then
-        Journal.emit ~severity:Journal.Warn ~cat:"mna" "conditioning"
-          [
-            ("pivot_min", Journal.F !pivot_min);
-            ("pivot_max", Journal.F !pivot_max);
-            ("pivot_ratio", Journal.F pivot_ratio);
-          ];
-      if !stressed_substeps > 0 then
-        Journal.emit ~severity:Journal.Warn ~cat:"mna" "dt_stress"
-          [
-            ("max_rel_change", Journal.F !dt_stress);
-            ("stressed_substeps", Journal.I !stressed_substeps);
-            ("dt", Journal.F dt);
-            ("substeps", Journal.I substeps);
-          ];
-      Journal.emit ~cat:"mna" "newton.run"
-        [
-          ("steps", Journal.I nsteps);
-          ("total_iters", Journal.I !total_iters);
-          ("wasted_iters", Journal.I !wasted_iters);
-          ("max_residual", Journal.F !max_residual);
-          ("pivot_min", Journal.F !pivot_min);
-          ("pivot_max", Journal.F !pivot_max);
-          ("dt_stress", Journal.F !dt_stress);
-          ("dim", Journal.I n);
-        ];
-      Some
-        {
-          total_iters = !total_iters;
-          wasted_iters = !wasted_iters;
-          max_residual = !max_residual;
-          pivot_min = !pivot_min;
-          pivot_max = !pivot_max;
-          dt_stress = !dt_stress;
-          stressed_substeps = !stressed_substeps;
-        }
-    end
+(* Stepper stimulus lookup: [input_values] (ordered as [names]) held
+   for the whole tick, whatever time the step samples it at. *)
+let held_input who names input_values =
+  if Array.length input_values <> Array.length names then
+    invalid_arg
+      (Printf.sprintf "%s.step: expected %d input(s), got %d" who
+         (Array.length names) (Array.length input_values));
+  let input name =
+    match Array.find_index (String.equal name) names with
+    | Some i -> input_values.(i)
+    | None -> invalid_arg (who ^ ": unknown input " ^ name)
   in
-  {
-    trace;
-    stats =
-      {
-        steps = nsteps;
-        device_evals = !device_evals;
-        factorizations = !factorizations;
-        solves = !solves;
-      };
-    matrix_dim = n;
-    newton;
-  }
+  fun _t -> input
+
+(* The whole-run driver: [advance step] takes reporting step [step] and
+   returns the output. Builds the trace, calls the probes and flushes the
+   run's [work] into the counters once; returns the trace and stats. *)
+let drive ?observe ~dt ~t_stop ~n ~work ~read ~output0 advance =
+  let nsteps = int_of_float (Float.round (t_stop /. dt)) in
+  let trace = Trace.create ~capacity:(nsteps + 1) () in
+  Trace.add trace ~time:0.0 ~value:output0;
+  (match observe with None -> () | Some f -> f 0.0 read);
+  for step = 1 to nsteps do
+    let value = advance step in
+    let t = float_of_int step *. dt in
+    Trace.add trace ~time:t ~value;
+    match observe with None -> () | Some f -> f t read
+  done;
+  let stats =
+    { steps = nsteps; device_evals = work.w_device_evals;
+      factorizations = work.w_factorizations; solves = work.w_solves }
+  in
+  flush_work work ~steps:nsteps;
+  Obs.Gauge.set g_matrix_dim (float_of_int n);
+  (trace, stats)
 
 (* Shared factor cache of the fast fidelity path: the sparse symbolic
    factorisation is computed once per topology, and the numeric factors
@@ -301,7 +287,6 @@ let spice_like_paper ?(substeps = 8) ?(iterations = 3) ?observe circuit ~inputs
    [Matrix.Singular] diagnostics as the paper path. *)
 module Fast_cache = struct
   type t = {
-    n : int;
     sys : System.t;
     npwl : int;
     mutable symbolic : Sparse.symbolic option;
@@ -312,57 +297,40 @@ module Fast_cache = struct
   }
 
   let create sys =
-    {
-      n = System.size sys;
-      sys;
-      npwl = System.pwl_count sys;
-      symbolic = None;
-      lu = None;
-      h = nan;
-      regions = Array.make (System.pwl_count sys) false;
-      scratch = Array.make (System.pwl_count sys) false;
-    }
-
-  let bools_equal a b npwl =
-    let ok = ref true in
-    for i = 0 to npwl - 1 do
-      if a.(i) <> b.(i) then ok := false
-    done;
-    !ok
+    let npwl = System.pwl_count sys in
+    { sys; npwl; symbolic = None; lu = None; h = nan;
+      regions = Array.make npwl false; scratch = Array.make npwl false }
 
   let refactor_with c triplets =
+    let analyze () =
+      let sym = Sparse.analyze ~n:(System.size c.sys) triplets in
+      c.symbolic <- Some sym;
+      Sparse.refactor sym triplets
+    in
     match c.symbolic with
+    | None -> analyze ()
     | Some sym -> (
-        try Sparse.refactor sym triplets
-        with Sparse.Singular _ ->
-          (* Reused pivots went numerically stale: re-analyze with
-             fresh pivoting and retry once. *)
-          let sym = Sparse.analyze ~n:c.n triplets in
-          c.symbolic <- Some sym;
-          Sparse.refactor sym triplets)
-    | None ->
-        let sym = Sparse.analyze ~n:c.n triplets in
-        c.symbolic <- Some sym;
-        Sparse.refactor sym triplets
+        (* Reused pivots that went numerically stale: re-analyze with
+           fresh pivoting and retry once. *)
+        try Sparse.refactor sym triplets with Sparse.Singular _ -> analyze ())
 
   (* Factors for the system stamped at [state] with timestep [h],
      reusing the cached LU when neither changed anything the stamp
-     depends on. [on_stamp] is the device-evaluation counter hook;
-     [on_singular] runs before the error is re-raised. *)
-  let factor c ~state ~h ~on_stamp ~on_factor ~on_singular =
+     depends on; a re-stamp and a factorisation are counted in [w].
+     @raise Matrix.Singular on a singular system. *)
+  let factor c w ~state ~h =
     System.pwl_regions_into c.sys state ~regions:c.scratch;
     match c.lu with
-    | Some lu when c.h = h && bools_equal c.scratch c.regions c.npwl -> lu
+    | Some lu when c.h = h && Array.for_all2 Bool.equal c.scratch c.regions ->
+        lu
     | _ ->
         let triplets = System.stamp_triplets ~state c.sys ~h in
-        on_stamp ();
+        w.w_device_evals <- w.w_device_evals + 1;
         let lu =
           try refactor_with c triplets
-          with Sparse.Singular k ->
-            on_singular k;
-            raise (Matrix.Singular k)
+          with Sparse.Singular k -> raise (Matrix.Singular k)
         in
-        on_factor ();
+        w.w_factorizations <- w.w_factorizations + 1;
         c.h <- h;
         Array.blit c.scratch 0 c.regions 0 c.npwl;
         c.lu <- Some lu;
@@ -371,322 +339,10 @@ module Fast_cache = struct
   (* Does [state] select the same regions as the cached LU was stamped
      with? Vacuously true for a linear network. *)
   let regions_stable c state =
-    if c.npwl = 0 then true
-    else begin
-      System.pwl_regions_into c.sys state ~regions:c.scratch;
-      bools_equal c.scratch c.regions c.npwl
-    end
+    c.npwl = 0
+    || (System.pwl_regions_into c.sys state ~regions:c.scratch;
+        Array.for_all2 Bool.equal c.scratch c.regions)
 end
-
-(* Substep controller thresholds for the fast path: refine (double the
-   substep count and redo the reporting step) when the second-difference
-   LTE proxy crosses [lte_refine] or a substep is dt-stressed; relax
-   (halve) when the whole step stayed comfortably below the band. *)
-let lte_refine = 0.05
-let lte_relax = lte_refine /. 8.0
-
-let spice_like_fast ~substeps ~iterations ?observe circuit ~inputs ~output ~dt
-    ~t_stop =
-  check_args ~dt ~t_stop;
-  Obs.with_span ~cat:"mna" "mna.spice_like" @@ fun () ->
-  let sys = System.build circuit in
-  let n = System.size sys in
-  let input_at = input_fun inputs in
-  let nsteps = int_of_float (Float.round (t_stop /. dt)) in
-  let nonlinear = System.has_pwl sys in
-  let x = ref (Array.make n 0.0) in
-  (* State one substep back, for the second-difference LTE estimate. *)
-  let xm1 = ref (Array.make n 0.0) in
-  let rhs = Array.make n 0.0 in
-  let trace = Trace.create ~capacity:(nsteps + 1) () in
-  let device_evals = ref 0 and factorizations = ref 0 and solves = ref 0 in
-  let rhs_builds = ref 0 in
-  let jn = Journal.enabled () in
-  (* Unlike the paper path, every control quantity here (update norm,
-     stress, LTE, pivot range) is computed unconditionally: the update
-     norm is the early-exit test and stress/LTE drive the substep
-     controller, so the journal can only change what is emitted, never
-     the numerics — journal-off runs are step-identical to journal-on. *)
-  let total_iters = ref 0 in
-  let max_residual = ref 0.0 in
-  let pivot_min = ref infinity and pivot_max = ref 0.0 in
-  let dt_stress = ref 0.0 and stressed_substeps = ref 0 in
-  let cache = Fast_cache.create sys in
-  let nsub = ref substeps in
-  let reader v = System.output_value sys v !x in
-  Trace.add trace ~time:0.0 ~value:(System.output_value sys output !x);
-  (match observe with None -> () | Some f -> f 0.0 reader);
-  for step = 1 to nsteps do
-    let t_base = float_of_int (step - 1) *. dt in
-    let x_save = !x and xm1_save = !xm1 in
-    let step_residual = ref 0.0 in
-    let step_converged_at = ref 0 in
-    let step_passes = ref 0 in
-    let step_stress = ref 0.0 in
-    let step_lte = ref 0.0 in
-    let step_nsub = ref !nsub in
-    let retry = ref true in
-    while !retry do
-      retry := false;
-      step_residual := 0.0;
-      step_converged_at := 0;
-      step_stress := 0.0;
-      step_lte := 0.0;
-      let ns = !nsub in
-      step_nsub := ns;
-      let h = dt /. float_of_int ns in
-      let aborted = ref false in
-      let sub = ref 1 in
-      while (not !aborted) && !sub <= ns do
-        (* As in the paper path, the last substep lands exactly on the
-           reporting instant. *)
-        let t =
-          if !sub = ns then float_of_int step *. dt
-          else t_base +. (float_of_int !sub *. h)
-        in
-        let input = input_at t in
-        (* The RHS depends only on the substep-start state and the
-           input, so one build serves every Newton pass. *)
-        System.stamp_rhs sys ~h ~state:!x ~input ~rhs;
-        incr rhs_builds;
-        let x_next = ref !x in
-        let converged_at = ref 0 in
-        let last_delta = ref infinity in
-        (* A linear network needs exactly one pass: the matrix does not
-           depend on the state, so the first solve is the solution. *)
-        let max_iters = if nonlinear then iterations else 1 in
-        let iter = ref 0 in
-        let stop = ref false in
-        while (not !stop) && !iter < max_iters do
-          incr iter;
-          let lu =
-            Fast_cache.factor cache ~state:!x_next ~h
-              ~on_stamp:(fun () -> incr device_evals)
-              ~on_factor:(fun () -> incr factorizations)
-              ~on_singular:(fun k ->
-                if jn then
-                  Journal.emit ~severity:Journal.Error ~step ~time:t
-                    ~cat:"mna" "singular_pivot"
-                    [ ("column", Journal.I k); ("dim", Journal.I n) ])
-          in
-          let prev = !x_next in
-          x_next := Sparse.lu_solve lu rhs;
-          incr solves;
-          incr total_iters;
-          incr step_passes;
-          let mn, mx = Sparse.pivot_range lu in
-          if mn < !pivot_min then pivot_min := mn;
-          if mx > !pivot_max then pivot_max := mx;
-          let delta = ref 0.0 and scale = ref 0.0 in
-          let xn = !x_next in
-          for i = 0 to n - 1 do
-            let d = abs_float (xn.(i) -. prev.(i)) in
-            if d > !delta then delta := d;
-            let m = abs_float xn.(i) in
-            if m > !scale then scale := m
-          done;
-          last_delta := !delta;
-          (* Early exit: update norm inside tolerance AND the region
-             selection the LU was stamped with still matches the new
-             iterate — otherwise another pass re-stamps. *)
-          if
-            !delta <= (newton_rtol *. !scale) +. newton_atol
-            && Fast_cache.regions_stable cache xn
-          then begin
-            converged_at := !iter;
-            stop := true
-          end
-        done;
-        if jn then Obs.Histogram.observe h_newton_residual !last_delta;
-        if !last_delta > !max_residual then max_residual := !last_delta;
-        step_residual := !last_delta;
-        step_converged_at := !converged_at;
-        (* Stress (relative motion over this substep) and the LTE proxy
-           (scaled second difference, ~ h^2/2 * |x''|). *)
-        let stress = ref 0.0 and lte = ref 0.0 in
-        let x0 = !x and x1 = !x_next and xm = !xm1 in
-        for i = 0 to n - 1 do
-          let m = Float.max (abs_float x0.(i)) (abs_float x1.(i)) in
-          if m > newton_atol then begin
-            let r = abs_float (x1.(i) -. x0.(i)) /. m in
-            if r > !stress then stress := r;
-            let l =
-              abs_float (x1.(i) -. (2.0 *. x0.(i)) +. xm.(i)) /. (2.0 *. m)
-            in
-            if l > !lte then lte := l
-          end
-        done;
-        if !stress > !step_stress then step_stress := !stress;
-        if !lte > !step_lte then step_lte := !lte;
-        if (!lte > lte_refine || !stress > stress_threshold) && ns < substeps
-        then
-          (* Over the error band and refinement headroom remains: abort
-             and redo the whole reporting step with more substeps. *)
-          aborted := true
-        else begin
-          if !stress > !dt_stress then dt_stress := !stress;
-          if !stress > stress_threshold then incr stressed_substeps;
-          xm1 := !x;
-          x := !x_next;
-          incr sub
-        end
-      done;
-      if !aborted then begin
-        x := x_save;
-        xm1 := xm1_save;
-        nsub := min substeps (ns * 2);
-        retry := true
-      end
-      else if
-        !step_lte < lte_relax
-        && !step_stress < stress_threshold /. 2.0
-        && ns > 1
-      then nsub := ns / 2
-    done;
-    Obs.Histogram.observe h_solver_passes (float_of_int !step_passes);
-    let t_report = float_of_int step *. dt in
-    if jn then
-      Journal.emit ~step ~time:t_report ~cat:"mna" "newton.step"
-        [
-          ("residual", Journal.F !step_residual);
-          ("converged_at", Journal.I !step_converged_at);
-          ("wasted", Journal.I 0);
-          ("stress", Journal.F !step_stress);
-          ("nsub", Journal.I !step_nsub);
-        ];
-    Trace.add trace ~time:t_report ~value:(System.output_value sys output !x);
-    match observe with None -> () | Some f -> f t_report reader
-  done;
-  Obs.Counter.add c_steps nsteps;
-  Obs.Counter.add c_device_evals !device_evals;
-  Obs.Counter.add c_factorizations !factorizations;
-  Obs.Counter.add c_solves !solves;
-  Obs.Counter.add c_rhs_builds !rhs_builds;
-  Obs.Gauge.set g_matrix_dim (float_of_int n);
-  let pivot_ratio =
-    if !pivot_min > 0.0 && !pivot_min < infinity then !pivot_max /. !pivot_min
-    else infinity
-  in
-  if jn then begin
-    if pivot_ratio > 1e12 then
-      Journal.emit ~severity:Journal.Warn ~cat:"mna" "conditioning"
-        [
-          ("pivot_min", Journal.F !pivot_min);
-          ("pivot_max", Journal.F !pivot_max);
-          ("pivot_ratio", Journal.F pivot_ratio);
-        ];
-    if !stressed_substeps > 0 then
-      Journal.emit ~severity:Journal.Warn ~cat:"mna" "dt_stress"
-        [
-          ("max_rel_change", Journal.F !dt_stress);
-          ("stressed_substeps", Journal.I !stressed_substeps);
-          ("dt", Journal.F dt);
-          ("substeps", Journal.I substeps);
-        ];
-    Journal.emit ~cat:"mna" "newton.run"
-      [
-        ("steps", Journal.I nsteps);
-        ("total_iters", Journal.I !total_iters);
-        ("wasted_iters", Journal.I 0);
-        ("max_residual", Journal.F !max_residual);
-        ("pivot_min", Journal.F !pivot_min);
-        ("pivot_max", Journal.F !pivot_max);
-        ("dt_stress", Journal.F !dt_stress);
-        ("dim", Journal.I n);
-      ]
-  end;
-  {
-    trace;
-    stats =
-      {
-        steps = nsteps;
-        device_evals = !device_evals;
-        factorizations = !factorizations;
-        solves = !solves;
-      };
-    matrix_dim = n;
-    newton =
-      Some
-        {
-          total_iters = !total_iters;
-          wasted_iters = 0;
-          max_residual = !max_residual;
-          pivot_min = !pivot_min;
-          pivot_max = !pivot_max;
-          dt_stress = !dt_stress;
-          stressed_substeps = !stressed_substeps;
-        };
-  }
-
-let spice_like ?(substeps = 8) ?(iterations = 3) ?(fidelity = `Paper) ?observe
-    circuit ~inputs ~output ~dt ~t_stop =
-  match fidelity with
-  | `Paper ->
-      spice_like_paper ~substeps ~iterations ?observe circuit ~inputs ~output
-        ~dt ~t_stop
-  | `Fast ->
-      if substeps < 1 || iterations < 1 then
-        invalid_arg "Engine.spice_like: substeps and iterations must be >= 1";
-      spice_like_fast ~substeps ~iterations ?observe circuit ~inputs ~output
-        ~dt ~t_stop
-
-let eln_like ?(on_step = fun _ _ -> ()) ?observe circuit ~inputs ~output ~dt
-    ~t_stop =
-  check_args ~dt ~t_stop;
-  if Amsvp_netlist.Circuit.has_pwl circuit then
-    invalid_arg "Engine.eln_like: the linear-network engine cannot simulate \
-                 piecewise-linear devices";
-  Obs.with_span ~cat:"mna" "mna.eln_like" @@ fun () ->
-  let sys = System.build circuit in
-  let n = System.size sys in
-  let input_at = input_fun inputs in
-  let nsteps = int_of_float (Float.round (t_stop /. dt)) in
-  (* Linear fixed-step network: assemble and factor exactly once. *)
-  let m = System.stamp_matrix sys ~h:dt in
-  let lu = Matrix.lu_factor m in
-  let x = Array.make n 0.0 in
-  let x_next = Array.make n 0.0 in
-  let rhs = Array.make n 0.0 in
-  let trace = Trace.create ~capacity:(nsteps + 1) () in
-  let solves = ref 0 in
-  let reader v = System.output_value sys v x in
-  Trace.add trace ~time:0.0 ~value:(System.output_value sys output x);
-  (match observe with None -> () | Some f -> f 0.0 reader);
-  for step = 1 to nsteps do
-    let t = float_of_int step *. dt in
-    System.stamp_rhs sys ~h:dt ~state:x ~input:(input_at t) ~rhs;
-    Matrix.lu_solve_into lu ~b:rhs ~x:x_next;
-    incr solves;
-    Array.blit x_next 0 x 0 n;
-    let out = System.output_value sys output x in
-    Trace.add trace ~time:t ~value:out;
-    on_step t out;
-    match observe with None -> () | Some f -> f t reader
-  done;
-  Obs.Counter.add c_steps nsteps;
-  Obs.Counter.add c_device_evals 1;
-  Obs.Counter.add c_factorizations 1;
-  Obs.Counter.add c_solves !solves;
-  Obs.Counter.add c_rhs_builds !solves;
-  Obs.Gauge.set g_matrix_dim (float_of_int n);
-  if Journal.enabled () then begin
-    let mn, mx = Matrix.pivot_range lu in
-    Journal.emit ~cat:"mna" "eln.run"
-      [
-        ("steps", Journal.I nsteps);
-        ("solves", Journal.I !solves);
-        ("pivot_min", Journal.F mn);
-        ("pivot_max", Journal.F mx);
-        ("dim", Journal.I n);
-      ]
-  end;
-  {
-    trace;
-    stats =
-      { steps = nsteps; device_evals = 1; factorizations = 1; solves = !solves };
-    matrix_dim = n;
-    newton = None;
-  }
 
 module Eln_stepper = struct
   type factors = Dense of Matrix.lu | Sparse_lu of Sparse.lu
@@ -701,6 +357,8 @@ module Eln_stepper = struct
     x_next : float array;
     rhs : float array;
     mutable out : float;
+    mutable k : int;  (* reporting steps taken *)
+    work : work;
   }
 
   let create ?(solver = `Dense) circuit ~inputs ~output ~dt =
@@ -710,55 +368,46 @@ module Eln_stepper = struct
                    piecewise-linear devices";
     let sys = System.build circuit in
     let n = System.size sys in
+    (* Linear fixed-step network: assemble and factor exactly once. *)
     let lu =
       match solver with
       | `Dense -> Dense (Matrix.lu_factor (System.stamp_matrix sys ~h:dt))
       | `Sparse -> Sparse_lu (Sparse.lu_factor ~n (System.stamp_triplets sys ~h:dt))
     in
-    {
-      sys;
-      lu;
-      dt;
-      inputs = Array.of_list inputs;
-      output_var = output;
-      x = Array.make n 0.0;
-      x_next = Array.make n 0.0;
-      rhs = Array.make n 0.0;
-      out = 0.0;
-    }
+    let work = { (new_work ()) with w_device_evals = 1; w_factorizations = 1 } in
+    { sys; lu; dt; inputs = Array.of_list inputs; output_var = output;
+      x = Array.make n 0.0; x_next = Array.make n 0.0; rhs = Array.make n 0.0;
+      out = 0.0; k = 0; work }
 
-  let step st ~input_values =
-    if Array.length input_values <> Array.length st.inputs then
-      invalid_arg
-        (Printf.sprintf "Eln_stepper.step: expected %d input(s), got %d"
-           (Array.length st.inputs)
-           (Array.length input_values));
-    let input name =
-      let rec find i =
-        if i >= Array.length st.inputs then
-          invalid_arg ("Eln_stepper: unknown input " ^ name)
-        else if st.inputs.(i) = name then input_values.(i)
-        else find (i + 1)
-      in
-      find 0
-    in
-    System.stamp_rhs st.sys ~h:st.dt ~state:st.x ~input ~rhs:st.rhs;
+  (* The ELN reporting step: one RHS build and one triangular solve
+     with [input_at] sampled at the step's end. *)
+  let advance st ~input_at =
+    st.k <- st.k + 1;
+    let t = float_of_int st.k *. st.dt in
+    System.stamp_rhs st.sys ~h:st.dt ~state:st.x ~input:(input_at t) ~rhs:st.rhs;
     (match st.lu with
     | Dense lu -> Matrix.lu_solve_into lu ~b:st.rhs ~x:st.x_next
     | Sparse_lu lu -> Sparse.lu_solve_into lu ~b:st.rhs ~x:st.x_next);
-    Obs.Counter.incr c_steps;
-    Obs.Counter.incr c_solves;
-    Obs.Counter.incr c_rhs_builds;
+    let w = st.work in
+    w.w_solves <- w.w_solves + 1;
+    w.w_rhs_builds <- w.w_rhs_builds + 1;
     Array.blit st.x_next 0 st.x 0 (Array.length st.x);
     st.out <- System.output_value st.sys st.output_var st.x;
     st.out
+
+  let step st ~input_values =
+    let input_at = held_input "Eln_stepper" st.inputs input_values in
+    let v = advance st ~input_at in
+    flush_work st.work ~steps:1;
+    v
 
   let output st = st.out
   let read st v = System.output_value st.sys v st.x
 
   let reset st =
     Array.fill st.x 0 (Array.length st.x) 0.0;
-    st.out <- 0.0
+    st.out <- 0.0;
+    st.k <- 0
 end
 
 module Spice_stepper = struct
@@ -768,7 +417,7 @@ module Spice_stepper = struct
   type fast = {
     cache : Fast_cache.t;
     mutable nsub : int;
-    mutable xm1 : float array;
+    mutable xm1 : float array;  (* state one substep back, for the LTE *)
   }
 
   type t = {
@@ -782,6 +431,8 @@ module Spice_stepper = struct
     mutable x : float array;
     rhs : float array;
     mutable out : float;
+    mutable k : int;  (* reporting steps taken *)
+    work : work;
     fast : fast option;  (* [None] = paper fidelity *)
   }
 
@@ -797,91 +448,146 @@ module Spice_stepper = struct
       | `Paper -> None
       | `Fast ->
           Some
-            {
-              cache = Fast_cache.create sys;
-              nsub = substeps;
-              xm1 = Array.make n 0.0;
-            }
+            { cache = Fast_cache.create sys; nsub = substeps;
+              xm1 = Array.make n 0.0 }
     in
-    {
-      sys;
-      dt;
-      h = dt /. float_of_int substeps;
-      substeps;
-      iterations;
-      inputs = Array.of_list inputs;
-      output_var = output;
-      x = Array.make n 0.0;
-      rhs = Array.make n 0.0;
-      out = 0.0;
-      fast;
-    }
+    { sys; dt; h = dt /. float_of_int substeps; substeps; iterations;
+      inputs = Array.of_list inputs; output_var = output;
+      x = Array.make n 0.0; rhs = Array.make n 0.0; out = 0.0; k = 0;
+      work = new_work (); fast }
 
-  (* One fast-fidelity tick: same controller as the fast engine path —
-     early-exit Newton over reused factors, adaptive substep count with
-     refine-and-retry — minus the journal (steppers run inside a DE
-     kernel; the host owns observability). *)
-  let step_fast st fs ~input =
-    let n = Array.length st.x in
-    let nonlinear = System.has_pwl st.sys in
-    let passes = ref 0 and stamps = ref 0 and factors = ref 0 in
+  (* Substep [sub] of reporting step [step] lands on this instant; the
+     last one exactly on the reporting instant, so that stimulus edges
+     are sampled at the same points as the fixed-step engines (no
+     knife-edge drift on square waves). *)
+  let substep_time st ~step ~sub ~ns ~h =
+    if sub = ns then float_of_int step *. st.dt
+    else (float_of_int (step - 1) *. st.dt) +. (float_of_int sub *. h)
+
+  (* One paper-fidelity reporting step: every Newton pass of every
+     substep re-stamps the dense matrix and re-factors it. With [tel]
+     absent the loop does the solver's work and nothing else. *)
+  let step_paper st ~input_at tel =
+    let step = st.k and w = st.work and n = Array.length st.x in
+    (match tel with
+    | Some tl -> tl.step_wasted <- 0; tl.step_stress <- 0.0
+    | None -> ());
+    for sub = 1 to st.substeps do
+      let t = substep_time st ~step ~sub ~ns:st.substeps ~h:st.h in
+      let input = input_at t in
+      let x_next = ref st.x in
+      let converged_at = ref 0 and last_delta = ref infinity in
+      for iter = 1 to st.iterations do
+        (* Device evaluation: the full system is re-stamped (with
+           piecewise-linear regions selected by the latest estimate),
+           then re-factored, at every solver pass — the SPICE cost
+           model. *)
+        let m = System.stamp_matrix ~state:!x_next st.sys ~h:st.h in
+        w.w_device_evals <- w.w_device_evals + 1;
+        System.stamp_rhs st.sys ~h:st.h ~state:st.x ~input ~rhs:st.rhs;
+        w.w_rhs_builds <- w.w_rhs_builds + 1;
+        let lu =
+          try Matrix.lu_factor m
+          with Matrix.Singular k -> singular tel ~step ~time:t ~n k
+        in
+        w.w_factorizations <- w.w_factorizations + 1;
+        let prev = !x_next in
+        x_next := Matrix.lu_solve lu st.rhs;
+        w.w_solves <- w.w_solves + 1;
+        match tel with
+        | None -> ()
+        | Some tl ->
+            tl.total_iters <- tl.total_iters + 1;
+            (* Conditioning proxy sampled on the final pass only: the
+               re-stamped matrix drifts little between passes, and the
+               diagonal scan is a third of the telemetry's cost. *)
+            if iter = st.iterations then note_pivots tl (Matrix.pivot_range lu);
+            let delta, scale = update_norm prev !x_next in
+            last_delta := delta;
+            if !converged_at > 0 then begin
+              tl.wasted_iters <- tl.wasted_iters + 1;
+              tl.step_wasted <- tl.step_wasted + 1
+            end
+            else if converged delta scale then converged_at := iter
+      done;
+      (match tel with
+      | None -> ()
+      | Some tl ->
+          note_substep tl ~last_delta:!last_delta ~converged_at:!converged_at;
+          let stress, _ = motion st.x !x_next in
+          if stress > tl.step_stress then tl.step_stress <- stress;
+          note_stress tl stress);
+      st.x <- !x_next
+    done;
+    Obs.Histogram.observe h_solver_passes
+      (float_of_int (st.substeps * st.iterations))
+
+  (* One fast-fidelity reporting step: early-exit Newton over reused
+     sparse factors, adaptive substep count with refine-and-retry. The
+     update norm, stress and LTE drive the controller, so [tel] only
+     changes what is recorded, never the numerics. *)
+  let step_fast st fs ~input_at tel =
+    let step = st.k and w = st.work and n = Array.length st.x in
     let x_save = st.x and xm1_save = fs.xm1 in
-    let retry = ref true in
+    let passes = ref 0 and retry = ref true in
     while !retry do
       retry := false;
       let ns = fs.nsub in
       let h = st.dt /. float_of_int ns in
       let step_stress = ref 0.0 and step_lte = ref 0.0 in
-      let aborted = ref false in
-      let sub = ref 1 in
+      let aborted = ref false and sub = ref 1 in
       while (not !aborted) && !sub <= ns do
-        System.stamp_rhs st.sys ~h ~state:st.x ~input ~rhs:st.rhs;
+        let t = substep_time st ~step ~sub:!sub ~ns ~h in
+        (* The RHS depends only on the substep-start state and the
+           input, so one build serves every Newton pass. *)
+        System.stamp_rhs st.sys ~h ~state:st.x ~input:(input_at t) ~rhs:st.rhs;
+        w.w_rhs_builds <- w.w_rhs_builds + 1;
         let x_next = ref st.x in
-        let max_iters = if nonlinear then st.iterations else 1 in
-        let iter = ref 0 in
-        let stop = ref false in
+        let converged_at = ref 0 and last_delta = ref infinity in
+        (* A linear network needs exactly one pass: the matrix does not
+           depend on the state, so the first solve is the solution. *)
+        let max_iters = if fs.cache.npwl > 0 then st.iterations else 1 in
+        let iter = ref 0 and stop = ref false in
         while (not !stop) && !iter < max_iters do
           incr iter;
           let lu =
-            Fast_cache.factor fs.cache ~state:!x_next ~h
-              ~on_stamp:(fun () -> incr stamps)
-              ~on_factor:(fun () -> incr factors)
-              ~on_singular:(fun _ -> ())
+            try Fast_cache.factor fs.cache w ~state:!x_next ~h
+            with Matrix.Singular k -> singular tel ~step ~time:t ~n k
           in
           let prev = !x_next in
           x_next := Sparse.lu_solve lu st.rhs;
+          w.w_solves <- w.w_solves + 1;
           incr passes;
-          let delta = ref 0.0 and scale = ref 0.0 in
-          let xn = !x_next in
-          for i = 0 to n - 1 do
-            let d = abs_float (xn.(i) -. prev.(i)) in
-            if d > !delta then delta := d;
-            let m = abs_float xn.(i) in
-            if m > !scale then scale := m
-          done;
-          if
-            !delta <= (newton_rtol *. !scale) +. newton_atol
-            && Fast_cache.regions_stable fs.cache xn
-          then stop := true
-        done;
-        let stress = ref 0.0 and lte = ref 0.0 in
-        let x0 = st.x and x1 = !x_next and xm = fs.xm1 in
-        for i = 0 to n - 1 do
-          let m = Float.max (abs_float x0.(i)) (abs_float x1.(i)) in
-          if m > newton_atol then begin
-            let r = abs_float (x1.(i) -. x0.(i)) /. m in
-            if r > !stress then stress := r;
-            let l =
-              abs_float (x1.(i) -. (2.0 *. x0.(i)) +. xm.(i)) /. (2.0 *. m)
-            in
-            if l > !lte then lte := l
+          (match tel with
+          | None -> ()
+          | Some tl ->
+              tl.total_iters <- tl.total_iters + 1;
+              note_pivots tl (Sparse.pivot_range lu));
+          let delta, scale = update_norm prev !x_next in
+          last_delta := delta;
+          (* Early exit: update norm inside tolerance AND the region
+             selection the LU was stamped with still matches the new
+             iterate — otherwise another pass re-stamps. *)
+          if converged delta scale && Fast_cache.regions_stable fs.cache !x_next
+          then begin
+            converged_at := !iter;
+            stop := true
           end
         done;
-        if !stress > !step_stress then step_stress := !stress;
-        if !lte > !step_lte then step_lte := !lte;
-        if (!lte > lte_refine || !stress > stress_threshold) && ns < st.substeps
-        then aborted := true
+        (match tel with
+        | None -> ()
+        | Some tl ->
+            note_substep tl ~last_delta:!last_delta ~converged_at:!converged_at);
+        let stress, lte = motion ~xm:fs.xm1 st.x !x_next in
+        if stress > !step_stress then step_stress := stress;
+        if lte > !step_lte then step_lte := lte;
+        if (lte > lte_refine || stress > stress_threshold) && ns < st.substeps
+        then
+          (* Over the error band and refinement headroom remains: abort
+             and redo the whole reporting step with more substeps. *)
+          aborted := true
         else begin
+          (match tel with None -> () | Some tl -> note_stress tl stress);
           fs.xm1 <- st.x;
           st.x <- !x_next;
           incr sub
@@ -893,71 +599,115 @@ module Spice_stepper = struct
         fs.nsub <- min st.substeps (ns * 2);
         retry := true
       end
-      else if
-        !step_lte < lte_relax
-        && !step_stress < stress_threshold /. 2.0
-        && ns > 1
-      then fs.nsub <- ns / 2
+      else begin
+        (match tel with
+        | Some tl -> tl.step_stress <- !step_stress; tl.step_nsub <- ns
+        | None -> ());
+        if !step_lte < lte_relax && !step_stress < stress_threshold /. 2.0 && ns > 1
+        then fs.nsub <- ns / 2
+      end
     done;
-    Obs.Counter.incr c_steps;
-    Obs.Counter.add c_device_evals !stamps;
-    Obs.Counter.add c_factorizations !factors;
-    Obs.Counter.add c_solves !passes;
-    Obs.Counter.add c_rhs_builds !passes;
-    Obs.Histogram.observe h_solver_passes (float_of_int !passes);
+    Obs.Histogram.observe h_solver_passes (float_of_int !passes)
+
+  (* The reporting step of either fidelity, shared by [step] and the
+     whole-run driver. *)
+  let advance st ~input_at tel =
+    st.k <- st.k + 1;
+    (match st.fast with
+    | Some fs -> step_fast st fs ~input_at tel
+    | None -> step_paper st ~input_at tel);
     st.out <- System.output_value st.sys st.output_var st.x;
     st.out
 
   let step st ~input_values =
-    if Array.length input_values <> Array.length st.inputs then
-      invalid_arg
-        (Printf.sprintf "Spice_stepper.step: expected %d input(s), got %d"
-           (Array.length st.inputs)
-           (Array.length input_values));
-    let input name =
-      let rec find i =
-        if i >= Array.length st.inputs then
-          invalid_arg ("Spice_stepper: unknown input " ^ name)
-        else if st.inputs.(i) = name then input_values.(i)
-        else find (i + 1)
-      in
-      find 0
-    in
-    match st.fast with
-    | Some fs -> step_fast st fs ~input
-    | None ->
-    for _sub = 1 to st.substeps do
-      let x_next = ref st.x in
-      for _iter = 1 to st.iterations do
-        let m = System.stamp_matrix ~state:!x_next st.sys ~h:st.h in
-        System.stamp_rhs st.sys ~h:st.h ~state:st.x ~input ~rhs:st.rhs;
-        let lu = Matrix.lu_factor m in
-        x_next := Matrix.lu_solve lu st.rhs
-      done;
-      st.x <- !x_next
-    done;
-    let passes = st.substeps * st.iterations in
-    Obs.Counter.incr c_steps;
-    Obs.Counter.add c_device_evals passes;
-    Obs.Counter.add c_factorizations passes;
-    Obs.Counter.add c_solves passes;
-    Obs.Counter.add c_rhs_builds passes;
-    Obs.Histogram.observe h_solver_passes (float_of_int passes);
-    st.out <- System.output_value st.sys st.output_var st.x;
-    st.out
+    let input_at = held_input "Spice_stepper" st.inputs input_values in
+    let v = advance st ~input_at None in
+    flush_work st.work ~steps:1;
+    v
 
   let output st = st.out
   let read st v = System.output_value st.sys v st.x
 
   let reset st =
     Array.fill st.x 0 (Array.length st.x) 0.0;
-    (match st.fast with
-    | Some fs ->
+    Option.iter
+      (fun fs ->
         fs.nsub <- st.substeps;
-        fs.xm1 <- Array.make (Array.length st.x) 0.0
-    | None -> ());
-    st.out <- 0.0
+        fs.xm1 <- Array.make (Array.length st.x) 0.0)
+      st.fast;
+    st.out <- 0.0;
+    st.k <- 0
 end
+
+let spice_like ?(substeps = 8) ?(iterations = 3) ?(fidelity = `Paper) ?observe
+    circuit ~inputs ~output ~dt ~t_stop =
+  check_args ~dt ~t_stop;
+  if substeps < 1 || iterations < 1 then
+    invalid_arg "Engine.spice_like: substeps and iterations must be >= 1";
+  Obs.with_span ~cat:"mna" "mna.spice_like" @@ fun () ->
+  let st =
+    Spice_stepper.create ~substeps ~iterations ~fidelity circuit
+      ~inputs:(List.map fst inputs) ~output ~dt
+  in
+  let n = Array.length st.x and input_at = input_fun inputs in
+  (* The paper path records convergence telemetry only while the
+     journal is on; the fast path always does (its controller computes
+     the same quantities anyway), the journal gating only the events. *)
+  let jn = Journal.enabled () in
+  let tel =
+    if jn || fidelity = `Fast then Some (new_telemetry ~journal:jn) else None
+  in
+  let advance step =
+    let v = Spice_stepper.advance st ~input_at tel in
+    (match tel with
+    | Some tl when tl.journal ->
+        let nsub =
+          if Option.is_some st.fast then [ ("nsub", Journal.I tl.step_nsub) ]
+          else []
+        in
+        Journal.emit ~step ~time:(float_of_int step *. dt) ~cat:"mna"
+          "newton.step"
+          (("residual", Journal.F tl.step_residual)
+          :: ("converged_at", Journal.I tl.step_converged_at)
+          :: ("wasted", Journal.I tl.step_wasted)
+          :: ("stress", Journal.F tl.step_stress) :: nsub)
+    | _ -> ());
+    v
+  in
+  let trace, stats =
+    drive ?observe ~dt ~t_stop ~n ~work:st.work ~read:(Spice_stepper.read st)
+      ~output0:(Spice_stepper.read st output) advance
+  in
+  let newton = Option.map (summarize ~nsteps:stats.steps ~dt ~substeps ~n) tel in
+  { trace; stats; matrix_dim = n; newton }
+
+let eln_like ?observe circuit ~inputs ~output ~dt ~t_stop =
+  check_args ~dt ~t_stop;
+  if Amsvp_netlist.Circuit.has_pwl circuit then
+    invalid_arg "Engine.eln_like: the linear-network engine cannot simulate \
+                 piecewise-linear devices";
+  Obs.with_span ~cat:"mna" "mna.eln_like" @@ fun () ->
+  let st =
+    Eln_stepper.create circuit ~inputs:(List.map fst inputs) ~output ~dt
+  in
+  let n = Array.length st.x and input_at = input_fun inputs in
+  let trace, stats =
+    drive ?observe ~dt ~t_stop ~n ~work:st.work ~read:(Eln_stepper.read st)
+      ~output0:(Eln_stepper.read st output) (fun _ ->
+        Eln_stepper.advance st ~input_at)
+  in
+  if Journal.enabled () then begin
+    let mn, mx =
+      match st.lu with
+      | Dense lu -> Matrix.pivot_range lu
+      | Sparse_lu lu -> Sparse.pivot_range lu
+    in
+    Journal.emit ~cat:"mna" "eln.run"
+      [ ("steps", Journal.I stats.steps); ("solves", Journal.I stats.solves);
+        ("pivot_min", Journal.F mn); ("pivot_max", Journal.F mx);
+        ("dim", Journal.I n) ]
+  end;
+  { trace; stats; matrix_dim = n; newton = None }
 
 let run_testcase_spice ?substeps ?iterations ?fidelity
     (tc : Circuits.testcase) ~dt ~t_stop =

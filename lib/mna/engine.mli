@@ -12,9 +12,20 @@
       are "the two most serious bottlenecks" (§III-B [5]).
     - {!eln_like} — the SystemC-AMS/ELN stand-in: the network equations
       are set up and factored {e once} (linear network, fixed step);
-      each step costs one RHS build plus one triangular solve, plus a
-      synchronisation callback so the caller can model the DE-kernel
-      boundary. *)
+      each step costs one RHS build plus one triangular solve.
+
+    Each engine (and each {!spice_like} fidelity) has exactly one
+    reporting-step function. Its stepper ({!Spice_stepper},
+    {!Eln_stepper}) calls it once per [step]; the whole-run entry
+    point ({!spice_like}, {!eln_like}) is a driver that calls the same
+    function once per reporting step and adds the trace, the [observe]
+    probes, the convergence journal and the run summary. The two
+    differ only in where the inputs come from: the whole run samples
+    each stimulus at every internal substep, while a stepper holds the
+    [input_values] of one [step] for the whole tick. With a constant
+    stimulus the two are therefore bit-identical, and they count the
+    same solver work in the [amsvp_mna_*] counters — a stepper flushes
+    them after every [step], a whole run once at its end. *)
 
 type stats = {
   steps : int;  (** reporting steps taken *)
@@ -37,18 +48,21 @@ type newton = {
           local time constant *)
   stressed_substeps : int;  (** substeps whose relative change > 0.5 *)
 }
-(** Solver-convergence telemetry for one {!spice_like} run. Only
-    computed while the {!Amsvp_obs.Journal} is enabled — the residual
-    norms have no other consumer, so with the journal off the inner
-    loop is byte-for-byte the pre-telemetry loop. *)
+(** Solver-convergence telemetry for one {!spice_like} run. At
+    [`Paper] fidelity it is only computed while the
+    {!Amsvp_obs.Journal} is enabled — the residual norms have no other
+    consumer, so with the journal off the step runs the solver's float
+    operations and nothing else. At [`Fast] it is always computed: the
+    controller needs the same quantities. *)
 
 type result = {
   trace : Amsvp_util.Trace.t;
   stats : stats;
   matrix_dim : int;
   newton : newton option;
-      (** [Some] iff the journal was enabled during the run (always
-          [None] for {!eln_like}, which has no Newton loop). *)
+      (** [Some] for every [`Fast] run, and for a [`Paper] run iff the
+          journal was enabled during it (always [None] for
+          {!eln_like}, which has no Newton loop). *)
 }
 
 val spice_like :
@@ -92,7 +106,6 @@ val spice_like :
     @raise Invalid_argument on a missing input signal or bad step. *)
 
 val eln_like :
-  ?on_step:(float -> float -> unit) ->
   ?observe:(float -> (Expr.var -> float) -> unit) ->
   Amsvp_netlist.Circuit.t ->
   inputs:(string * Amsvp_util.Stimulus.t) list ->
@@ -100,15 +113,17 @@ val eln_like :
   dt:float ->
   t_stop:float ->
   result
-(** Fixed-step linear-network engine; [on_step time value] is invoked
-    once per step (the ELN-cluster to DE-kernel synchronisation
-    point). [observe] is the probe attachment point, as in
+(** Fixed-step linear-network engine, sampling each stimulus at the end
+    of every step. [observe] is the probe attachment point, as in
     {!spice_like}. *)
 
 (** Step-wise interface to the ELN engine, for embedding the linear
     network inside a discrete-event kernel (the SystemC-AMS use case):
-    the matrix is factored at creation, each [step] performs one RHS
-    build and one triangular solve. *)
+    the matrix is factored at creation, each [step] runs the ELN
+    reporting step — one RHS build and one triangular solve — on the
+    given input samples. The one assembly and factorisation is counted
+    in [amsvp_mna_device_evals_total] / [amsvp_mna_factorizations_total]
+    with the first [step], as {!eln_like} counts it once per run. *)
 module Eln_stepper : sig
   type t
 
@@ -142,9 +157,10 @@ end
 
 (** Step-wise interface to the SPICE-like engine, for lock-step
     co-simulation with a digital simulator (the Questa-ADMS use case of
-    Table III): every [step] refines the reporting step into internal
-    substeps, re-evaluating devices and re-factoring at each solver
-    pass. *)
+    Table III): every [step] runs the reporting step of the chosen
+    fidelity — the same function {!spice_like} drives — holding the
+    given input samples across all of its internal substeps. Steppers
+    record no convergence journal (the host owns observability). *)
 module Spice_stepper : sig
   type t
 
@@ -163,7 +179,10 @@ module Spice_stepper : sig
       lock-step co-simulation cheap. *)
 
   val step : t -> input_values:float array -> float
-  (** @raise Invalid_argument on an arity mismatch, naming the expected
+  (** Advance one reporting step with [input_values] (ordered as the
+      [inputs] list) held constant over the whole tick, and return the
+      output quantity.
+      @raise Invalid_argument on an arity mismatch, naming the expected
       and actual input counts. *)
 
   val output : t -> float

@@ -81,6 +81,22 @@ let ingest_spans ~proc spans =
       (fun s -> push (if s.proc = "" then { s with proc } else s))
       spans
 
+(* One pass over the completion-ordered spans with a pending table of
+   finished-children time per (proc, dom, depth): a span takes what is
+   pending one level below it, then adds itself at its own level. *)
+let self_times spans =
+  let pending : (string * int * int, int) Hashtbl.t = Hashtbl.create 32 in
+  let get k = Option.value ~default:0 (Hashtbl.find_opt pending k) in
+  Array.map
+    (fun s ->
+      let child = (s.proc, s.dom, s.depth + 1) in
+      let self = s.dur_ns - get child in
+      Hashtbl.remove pending child;
+      let mine = (s.proc, s.dom, s.depth) in
+      Hashtbl.replace pending mine (get mine + s.dur_ns);
+      self)
+    spans
+
 (* A consistent snapshot for the sinks (they iterate while other
    domains may still be recording). *)
 let span_snapshot () = locked (fun () -> Array.sub !buf 0 !len)

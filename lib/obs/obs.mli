@@ -83,6 +83,15 @@ val ingest_spans : proc:string -> span list -> unit
     when the recorder is disabled). Spans whose [proc] is [""] are
     stamped with [proc]. *)
 
+val self_times : span array -> int array
+(** [self_times spans], for spans in completion order (as {!spans}
+    returns them): each span's duration minus the total duration of its
+    direct children, in nanoseconds. A child always completes before
+    its parent, and nesting is only tracked between spans of the same
+    process and domain ([proc], [dom]): spans ingested from another
+    process never count as children of a local span, whatever their
+    [dom] and [depth]. *)
+
 (** {1 Metrics registry}
 
     Metrics are registered process-wide by series — name plus labels:

@@ -59,8 +59,9 @@ let g_in_flight =
 type state = {
   cfg : config;
   draining : bool ref;
-  (* warm prepared sweeps, keyed by canonical spec text + circuit; LRU
-     by re-insertion order in [ctx_order] *)
+  (* warm prepared sweeps, keyed by canonical spec text + circuit; LRU:
+     [ctx_order] lists keys most recently used first, a hit or an
+     insertion moves its key to the front, eviction drops the last *)
   ctxs : (string, Runner.ctx) Hashtbl.t;
   mutable ctx_order : string list;
   mutable requests : int;
@@ -115,10 +116,15 @@ let send conn resp =
 
 let ctx_key spec circuit = Spec.to_string spec ^ "@" ^ circuit
 
+(* Mark [key] most recently used. *)
+let touch_ctx st key =
+  st.ctx_order <- key :: List.filter (( <> ) key) st.ctx_order
+
 let ctx_for ~id st spec (tc : Circuits.testcase) =
   let key = ctx_key spec tc.Circuits.label in
   match Hashtbl.find_opt st.ctxs key with
   | Some ctx ->
+      touch_ctx st key;
       st.ctx_hits <- st.ctx_hits + 1;
       Obs.Counter.incr c_ctx_hits;
       jlog ~req:id st "ctx.hit" [ ("sweep", Journal.S spec.Spec.name) ];
@@ -132,7 +138,7 @@ let ctx_for ~id st spec (tc : Circuits.testcase) =
         Runner.prepare spec tc
       in
       Hashtbl.replace st.ctxs key ctx;
-      st.ctx_order <- key :: List.filter (( <> ) key) st.ctx_order;
+      touch_ctx st key;
       (if List.length st.ctx_order > st.cfg.ctx_cache_max then
          match List.rev st.ctx_order with
          | oldest :: _ ->

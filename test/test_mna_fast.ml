@@ -28,6 +28,7 @@ module Trace = Amsvp_util.Trace
 module Stimulus = Amsvp_util.Stimulus
 module Metrics = Amsvp_util.Metrics
 module Journal = Amsvp_obs.Journal
+module Obs = Amsvp_obs.Obs
 
 let checkf tol = Alcotest.(check (float tol))
 let ulp_ok a b = Int64.compare (Metrics.ulp_distance a b) 1L <= 0
@@ -479,31 +480,94 @@ let test_golden_eln () =
   let r = Engine.run_testcase_eln (Circuits.rc_ladder 20) ~dt:1e-5 ~t_stop:1e-3 in
   check_golden "eln_rc20" (trace_text r.trace)
 
-(* ---- Stepper parity: the VP embedding of the fast engine ---- *)
+(* ---- Stepper parity: the VP embedding of the engines ---- *)
 
-let test_stepper_fast_matches_engine () =
-  (* With a constant stimulus the stepper's hold-within-step input
-     contract coincides with the engine's substep sampling, so the
-     two adaptive controllers must walk the same path. *)
-  let tc = Circuits.rc_ladder 4 in
-  let dt = 1e-5 in
-  let names = List.map fst tc.Circuits.stimuli in
+(* With a constant stimulus the stepper's hold-within-step input
+   contract coincides with the engine's substep sampling, so stepper
+   and whole-run engine run the same step function on the same inputs
+   and must agree bit for bit — and count the same solver work. *)
+let parity_cases =
+  [
+    ("paper RC4", `Spice `Paper, Circuits.rc_ladder 4);
+    ("paper RECT", `Spice `Paper, Circuits.rectifier ());
+    ("fast RC4", `Spice `Fast, Circuits.rc_ladder 4);
+    ("fast RECT", `Spice `Fast, Circuits.rectifier ());
+    ("eln RC4", `Eln, Circuits.rc_ladder 4);
+  ]
+
+let mna_counters =
+  List.map Obs.Counter.make
+    [
+      "amsvp_mna_steps_total";
+      "amsvp_mna_device_evals_total";
+      "amsvp_mna_factorizations_total";
+      "amsvp_mna_solves_total";
+      "amsvp_mna_rhs_builds_total";
+    ]
+
+(* Runs [f] and returns its result with the MNA counter deltas. *)
+let counting f =
+  let before = List.map Obs.Counter.value mna_counters in
+  let r = f () in
+  (r, List.map2 (fun c b -> (Obs.Counter.name c, Obs.Counter.value c - b))
+        mna_counters before)
+
+let run_parity_case kind (tc : Circuits.testcase) =
+  let dt = 1e-5 and t_stop = 1e-3 in
+  let names = List.map fst tc.stimuli in
   let inputs = List.map (fun n -> (n, Stimulus.constant 1.0)) names in
-  let engine =
-    Engine.spice_like ~fidelity:`Fast tc.Circuits.circuit ~inputs
-      ~output:tc.Circuits.output ~dt ~t_stop:1e-3
-  in
-  let st =
-    Engine.Spice_stepper.create ~fidelity:`Fast tc.Circuits.circuit
-      ~inputs:names ~output:tc.Circuits.output ~dt
-  in
   let iv = Array.make (List.length names) 1.0 in
-  for k = 1 to Trace.length engine.trace - 1 do
-    let v = Engine.Spice_stepper.step st ~input_values:iv in
-    let ve = Trace.value engine.trace k in
-    if not (abs_float (v -. ve) <= 1e-9 *. (1.0 +. abs_float ve)) then
-      Alcotest.failf "stepper step %d: %h vs engine %h" k v ve
-  done
+  let engine, engine_counts =
+    counting (fun () ->
+        match kind with
+        | `Spice fidelity ->
+            Engine.spice_like ~fidelity tc.circuit ~inputs ~output:tc.output
+              ~dt ~t_stop
+        | `Eln -> Engine.eln_like tc.circuit ~inputs ~output:tc.output ~dt ~t_stop)
+  in
+  let step =
+    match kind with
+    | `Spice fidelity ->
+        let st =
+          Engine.Spice_stepper.create ~fidelity tc.circuit ~inputs:names
+            ~output:tc.output ~dt
+        in
+        fun () -> Engine.Spice_stepper.step st ~input_values:iv
+    | `Eln ->
+        let st =
+          Engine.Eln_stepper.create tc.circuit ~inputs:names ~output:tc.output
+            ~dt
+        in
+        fun () -> Engine.Eln_stepper.step st ~input_values:iv
+  in
+  let stepped, stepper_counts =
+    counting (fun () -> Array.init (Trace.length engine.trace - 1) (fun _ -> step ()))
+  in
+  (engine, engine_counts, stepped, stepper_counts)
+
+let test_stepper_matches_engine () =
+  List.iter
+    (fun (label, kind, tc) ->
+      let engine, _, stepped, _ = run_parity_case kind tc in
+      Array.iteri
+        (fun i v ->
+          let ve = Trace.value engine.Engine.trace (i + 1) in
+          if not (Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float ve))
+          then
+            Alcotest.failf "%s: stepper step %d: %h vs engine %h" label (i + 1)
+              v ve)
+        stepped)
+    parity_cases
+
+let test_stepper_counts_match_engine () =
+  List.iter
+    (fun (label, kind, tc) ->
+      let _, engine_counts, _, stepper_counts = run_parity_case kind tc in
+      List.iter2
+        (fun (name, e) (_, s) ->
+          Alcotest.(check int) (Printf.sprintf "%s: %s" label name) e s)
+        engine_counts stepper_counts)
+    parity_cases
 
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
@@ -519,8 +583,10 @@ let () =
           Alcotest.test_case "fast linear workload" `Quick
             test_fast_linear_workload;
           Alcotest.test_case "fast pwl re-stamps" `Quick test_fast_pwl_restamps;
-          Alcotest.test_case "stepper fast matches engine" `Quick
-            test_stepper_fast_matches_engine;
+          Alcotest.test_case "stepper matches engine bit-exact" `Quick
+            test_stepper_matches_engine;
+          Alcotest.test_case "stepper counts match engine" `Quick
+            test_stepper_counts_match_engine;
         ] );
       ( "random",
         qt

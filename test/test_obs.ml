@@ -231,6 +231,51 @@ let test_span_exception_path () =
   | [ _; after ] -> Alcotest.(check int) "depth unwound" 0 after.Obs.depth
   | l -> Alcotest.failf "expected 2 spans, got %d" (List.length l)
 
+(* A worker span shipped into the daemon's buffer lands at the same
+   domain id and one level below a local span that is open while it is
+   ingested. It must not count as that span's child: self time is
+   computed per process, so none may come out negative. *)
+let test_self_times_per_process () =
+  fresh ();
+  Obs.enable ();
+  Obs.with_span "local.child" (fun () -> ());
+  Obs.with_span "local.parent" (fun () ->
+      Obs.with_span "local.child" (fun () -> ());
+      Obs.ingest_spans ~proc:"w1:1"
+        [
+          {
+            Obs.name = "worker.point";
+            cat = "";
+            start_ns = 0;
+            dur_ns = 10_000_000_000;
+            depth = 1;
+            dom = (Domain.self () :> int);
+            proc = "";
+            args = [];
+          };
+        ]);
+  let spans = Array.of_list (Obs.spans ()) in
+  let selfs = Obs.self_times spans in
+  Array.iteri
+    (fun i s ->
+      if selfs.(i) < 0 then
+        Alcotest.failf "%s%s: negative self time %d ns" s.Obs.proc s.Obs.name
+          selfs.(i))
+    spans;
+  (* The local child still counts against its local parent. *)
+  let find name =
+    let rec go i =
+      if spans.(i).Obs.name = name && spans.(i).Obs.depth = 0 then i
+      else go (i + 1)
+    in
+    go 0
+  in
+  let p = find "local.parent" in
+  let child = spans.(p - 2) in
+  Alcotest.(check string) "layout" "local.child" child.Obs.name;
+  Alcotest.(check int) "local parent self excludes its local child"
+    (spans.(p).Obs.dur_ns - child.Obs.dur_ns) selfs.(p)
+
 (* Metrics *)
 
 let test_counter_semantics () =
@@ -507,6 +552,8 @@ let () =
           Alcotest.test_case "disabled no-op" `Quick test_span_disabled_noop;
           Alcotest.test_case "timed" `Quick test_timed_always_measures;
           Alcotest.test_case "exception path" `Quick test_span_exception_path;
+          Alcotest.test_case "self time per process" `Quick
+            test_self_times_per_process;
         ] );
       ( "metrics",
         [

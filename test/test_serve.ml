@@ -924,6 +924,66 @@ let test_daemon_werror_rejection () =
       | Unix.WEXITED n -> Alcotest.failf "daemon exited %d" n
       | _ -> Alcotest.fail "daemon killed")
 
+(* The prepared-sweep cache is LRU: a hit refreshes its entry. With
+   room for two, submitting A B A C evicts B (least recently used), so
+   the final A hits; a FIFO cache would have evicted A instead. *)
+let test_daemon_ctx_lru () =
+  let sock = tmp (Printf.sprintf "amsvp_serve_lru_%d.sock" (Unix.getpid ())) in
+  if Sys.file_exists sock then Sys.remove sock;
+  match Unix.fork () with
+  | 0 ->
+      (try
+         Daemon.serve
+           {
+             (Daemon.default_config ~socket_path:sock) with
+             workers = 1;
+             ctx_cache_max = 2;
+           }
+       with _ -> Unix._exit 1);
+      Unix._exit 0
+  | pid ->
+      wait_for_socket sock;
+      let c = Client.connect sock in
+      let hits () =
+        Client.send c Protocol.Stats;
+        match Client.recv c with
+        | Ok (Protocol.Stats_reply st) -> (st.st_ctx_hits, st.st_ctx_misses)
+        | _ -> Alcotest.fail "expected stats"
+      in
+      let submit name =
+        let spec = { small_spec with Spec.name; samples = 1; corners = [] } in
+        match Client.submit c ~spec_text:(Spec.to_string spec) () with
+        | Ok (Protocol.Done { complete = true; _ }) -> ()
+        | Ok r ->
+            Alcotest.failf "unexpected final frame %s"
+              (Protocol.encode_response r)
+        | Error m -> Alcotest.failf "submit %s: %s" name m
+      in
+      (* Counts are taken first and checked after the shutdown, so a
+         failing check never leaves the daemon running. *)
+      let counts =
+        Fun.protect
+          ~finally:(fun () ->
+            Client.send c Protocol.Shutdown;
+            ignore (Client.recv c);
+            Client.close c)
+          (fun () ->
+            List.iter submit [ "lru_a"; "lru_b"; "lru_a"; "lru_c" ];
+            let before = hits () in
+            submit "lru_a";
+            (before, hits ()))
+      in
+      let _, status = Unix.waitpid [] pid in
+      (match status with
+      | Unix.WEXITED 0 -> ()
+      | Unix.WEXITED n -> Alcotest.failf "daemon exited %d" n
+      | _ -> Alcotest.fail "daemon killed");
+      let (h0, m0), (h1, m1) = counts in
+      Alcotest.(check (pair int int)) "A B A C: one hit, three misses"
+        (1, 3) (h0, m0);
+      Alcotest.(check int) "last A hits" (h0 + 1) h1;
+      Alcotest.(check int) "no new miss" m0 m1
+
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "serve"
@@ -971,5 +1031,7 @@ let () =
             test_daemon_timeout_counters;
           Alcotest.test_case "werror rejection is structured, daemon survives"
             `Quick test_daemon_werror_rejection;
+          Alcotest.test_case "prepared-sweep cache is LRU" `Quick
+            test_daemon_ctx_lru;
         ] );
     ]
