@@ -5,7 +5,11 @@
    these tests pin down the contract that buys the speedup:
 
    - [`Paper] (the default) stays bit-identical to the seed engine,
-     sample for sample and counter for counter;
+     sample for sample and counter for counter, and its journal
+     telemetry is pinned by golden runs;
+   - each stepper runs the same step function as its whole-run
+     engine: with a constant stimulus they agree bit for bit and count
+     the same solver work;
    - [`Fast] traces agree with [`Paper] within the health-watchdog
      NRMSE budget on the paper circuits and on randomly generated
      RC / RLC / rectifier networks;
@@ -509,8 +513,8 @@ let mna_counters =
 let counting f =
   let before = List.map Obs.Counter.value mna_counters in
   let r = f () in
-  (r, List.map2 (fun c b -> (Obs.Counter.name c, Obs.Counter.value c - b))
-        mna_counters before)
+  let delta c b = (Obs.Counter.name c, Obs.Counter.value c - b) in
+  (r, List.map2 delta mna_counters before)
 
 let run_parity_case kind (tc : Circuits.testcase) =
   let dt = 1e-5 and t_stop = 1e-3 in
@@ -523,7 +527,8 @@ let run_parity_case kind (tc : Circuits.testcase) =
         | `Spice fidelity ->
             Engine.spice_like ~fidelity tc.circuit ~inputs ~output:tc.output
               ~dt ~t_stop
-        | `Eln -> Engine.eln_like tc.circuit ~inputs ~output:tc.output ~dt ~t_stop)
+        | `Eln ->
+            Engine.eln_like tc.circuit ~inputs ~output:tc.output ~dt ~t_stop)
   in
   let step =
     match kind with
@@ -540,8 +545,9 @@ let run_parity_case kind (tc : Circuits.testcase) =
         in
         fun () -> Engine.Eln_stepper.step st ~input_values:iv
   in
+  let nsteps = Trace.length engine.trace - 1 in
   let stepped, stepper_counts =
-    counting (fun () -> Array.init (Trace.length engine.trace - 1) (fun _ -> step ()))
+    counting (fun () -> Array.init nsteps (fun _ -> step ()))
   in
   (engine, engine_counts, stepped, stepper_counts)
 
