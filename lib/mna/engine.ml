@@ -256,28 +256,6 @@ let held_input who names input_values =
   in
   fun _t -> input
 
-(* The whole-run driver: [advance step] takes reporting step [step] and
-   returns the output. Builds the trace, calls the probes and flushes the
-   run's [work] into the counters once; returns the trace and stats. *)
-let drive ?observe ~dt ~t_stop ~n ~work ~read ~output0 advance =
-  let nsteps = int_of_float (Float.round (t_stop /. dt)) in
-  let trace = Trace.create ~capacity:(nsteps + 1) () in
-  Trace.add trace ~time:0.0 ~value:output0;
-  (match observe with None -> () | Some f -> f 0.0 read);
-  for step = 1 to nsteps do
-    let value = advance step in
-    let t = float_of_int step *. dt in
-    Trace.add trace ~time:t ~value;
-    match observe with None -> () | Some f -> f t read
-  done;
-  let stats =
-    { steps = nsteps; device_evals = work.w_device_evals;
-      factorizations = work.w_factorizations; solves = work.w_solves }
-  in
-  flush_work work ~steps:nsteps;
-  Obs.Gauge.set g_matrix_dim (float_of_int n);
-  (trace, stats)
-
 (* Shared factor cache of the fast fidelity path: the sparse symbolic
    factorisation is computed once per topology, and the numeric factors
    are reused across Newton passes and substeps until the timestep or
@@ -344,22 +322,241 @@ module Fast_cache = struct
         Array.for_all2 Bool.equal c.scratch c.regions)
 end
 
-module Eln_stepper = struct
-  type factors = Dense of Matrix.lu | Sparse_lu of Sparse.lu
+(* Persistent fast-fidelity state: the factor cache survives across
+   ticks (the whole point of symbolic reuse in lock-step co-simulation)
+   and so does the adaptive substep count. *)
+type fast = {
+  cache : Fast_cache.t;
+  mutable nsub : int;
+  mutable xm1 : float array;  (* state one substep back, for the LTE *)
+}
 
-  type t = {
-    sys : System.t;
-    lu : factors;
-    dt : float;
-    inputs : string array;
-    output_var : Expr.var;
-    x : float array;
-    x_next : float array;
-    rhs : float array;
-    mutable out : float;
-    mutable k : int;  (* reporting steps taken *)
-    work : work;
-  }
+type factors = Dense of Matrix.lu | Sparse_lu of Sparse.lu
+
+(* Which reporting step a stepper runs. *)
+type kind = Eln of factors | Paper | Fast of fast
+
+(* One engine's state between reporting steps: what a stepper holds and
+   what a whole-run driver steps. *)
+type stepper = {
+  kind : kind;
+  sys : System.t;
+  dt : float;
+  substeps : int;
+  iterations : int;
+  h : float;  (* the paper fidelity's fixed substep *)
+  inputs : string array;
+  output_var : Expr.var;
+  mutable x : float array;
+  x_next : float array;  (* the ELN solve's target *)
+  rhs : float array;
+  mutable out : float;
+  mutable k : int;  (* reporting steps taken *)
+  work : work;
+}
+
+let make_stepper kind sys ~substeps ~iterations ~inputs ~output ~dt =
+  let n = System.size sys in
+  { kind; sys; dt; substeps; iterations; h = dt /. float_of_int substeps;
+    inputs = Array.of_list inputs; output_var = output;
+    x = Array.make n 0.0; x_next = Array.make n 0.0; rhs = Array.make n 0.0;
+    out = 0.0; k = 0; work = new_work () }
+
+(* The ELN reporting step: one RHS build and one triangular solve, with
+   [input_at] sampled at the step's end. *)
+let step_eln st lu ~input_at =
+  let t = float_of_int st.k *. st.dt in
+  System.stamp_rhs st.sys ~h:st.dt ~state:st.x ~input:(input_at t) ~rhs:st.rhs;
+  (match lu with
+  | Dense lu -> Matrix.lu_solve_into lu ~b:st.rhs ~x:st.x_next
+  | Sparse_lu lu -> Sparse.lu_solve_into lu ~b:st.rhs ~x:st.x_next);
+  let w = st.work in
+  w.w_solves <- w.w_solves + 1;
+  w.w_rhs_builds <- w.w_rhs_builds + 1;
+  Array.blit st.x_next 0 st.x 0 (Array.length st.x)
+
+(* Substep [sub] of reporting step [step] lands on this instant; the
+   last one exactly on the reporting instant, so that stimulus edges
+   are sampled at the same points as the fixed-step engines (no
+   knife-edge drift on square waves). *)
+let substep_time st ~step ~sub ~ns ~h =
+  if sub = ns then float_of_int step *. st.dt
+  else (float_of_int (step - 1) *. st.dt) +. (float_of_int sub *. h)
+
+(* One paper-fidelity reporting step: every Newton pass of every
+   substep re-stamps the dense matrix and re-factors it. With [tel]
+   absent the loop does the solver's work and nothing else. *)
+let step_paper st ~input_at tel =
+  let step = st.k and w = st.work and n = Array.length st.x in
+  (match tel with
+  | Some tl -> tl.step_wasted <- 0; tl.step_stress <- 0.0
+  | None -> ());
+  for sub = 1 to st.substeps do
+    let t = substep_time st ~step ~sub ~ns:st.substeps ~h:st.h in
+    let input = input_at t in
+    let x_next = ref st.x in
+    let converged_at = ref 0 and last_delta = ref infinity in
+    for iter = 1 to st.iterations do
+      (* Device evaluation: the full system is re-stamped (with
+         piecewise-linear regions selected by the latest estimate),
+         then re-factored, at every solver pass — the SPICE cost
+         model. *)
+      let m = System.stamp_matrix ~state:!x_next st.sys ~h:st.h in
+      w.w_device_evals <- w.w_device_evals + 1;
+      System.stamp_rhs st.sys ~h:st.h ~state:st.x ~input ~rhs:st.rhs;
+      w.w_rhs_builds <- w.w_rhs_builds + 1;
+      let lu =
+        try Matrix.lu_factor m
+        with Matrix.Singular k -> singular tel ~step ~time:t ~n k
+      in
+      w.w_factorizations <- w.w_factorizations + 1;
+      let prev = !x_next in
+      x_next := Matrix.lu_solve lu st.rhs;
+      w.w_solves <- w.w_solves + 1;
+      match tel with
+      | None -> ()
+      | Some tl ->
+          tl.total_iters <- tl.total_iters + 1;
+          (* Conditioning proxy sampled on the final pass only: the
+             re-stamped matrix drifts little between passes, and the
+             diagonal scan is a third of the telemetry's cost. *)
+          if iter = st.iterations then note_pivots tl (Matrix.pivot_range lu);
+          let delta, scale = update_norm prev !x_next in
+          last_delta := delta;
+          if !converged_at > 0 then begin
+            tl.wasted_iters <- tl.wasted_iters + 1;
+            tl.step_wasted <- tl.step_wasted + 1
+          end
+          else if converged delta scale then converged_at := iter
+    done;
+    (match tel with
+    | None -> ()
+    | Some tl ->
+        note_substep tl ~last_delta:!last_delta ~converged_at:!converged_at;
+        let stress, _ = motion st.x !x_next in
+        if stress > tl.step_stress then tl.step_stress <- stress;
+        note_stress tl stress);
+    st.x <- !x_next
+  done;
+  Obs.Histogram.observe h_solver_passes
+    (float_of_int (st.substeps * st.iterations))
+
+(* One fast-fidelity reporting step: early-exit Newton over reused
+   sparse factors, adaptive substep count with refine-and-retry. The
+   update norm, stress and LTE drive the controller, so [tel] only
+   changes what is recorded, never the numerics. *)
+let step_fast st fs ~input_at tel =
+  let step = st.k and w = st.work and n = Array.length st.x in
+  let x_save = st.x and xm1_save = fs.xm1 in
+  let solves0 = w.w_solves and retry = ref true in
+  while !retry do
+    retry := false;
+    let ns = fs.nsub in
+    let h = st.dt /. float_of_int ns in
+    let step_stress = ref 0.0 and step_lte = ref 0.0 in
+    let aborted = ref false and sub = ref 1 in
+    while (not !aborted) && !sub <= ns do
+      let t = substep_time st ~step ~sub:!sub ~ns ~h in
+      (* The RHS depends only on the substep-start state and the
+         input, so one build serves every Newton pass. *)
+      System.stamp_rhs st.sys ~h ~state:st.x ~input:(input_at t) ~rhs:st.rhs;
+      w.w_rhs_builds <- w.w_rhs_builds + 1;
+      let x_next = ref st.x in
+      let converged_at = ref 0 and last_delta = ref infinity in
+      (* A linear network needs exactly one pass: the matrix does not
+         depend on the state, so the first solve is the solution. *)
+      let max_iters = if fs.cache.npwl > 0 then st.iterations else 1 in
+      let iter = ref 0 and stop = ref false in
+      while (not !stop) && !iter < max_iters do
+        incr iter;
+        let lu =
+          try Fast_cache.factor fs.cache w ~state:!x_next ~h
+          with Matrix.Singular k -> singular tel ~step ~time:t ~n k
+        in
+        let prev = !x_next in
+        x_next := Sparse.lu_solve lu st.rhs;
+        w.w_solves <- w.w_solves + 1;
+        (match tel with
+        | None -> ()
+        | Some tl ->
+            tl.total_iters <- tl.total_iters + 1;
+            note_pivots tl (Sparse.pivot_range lu));
+        let delta, scale = update_norm prev !x_next in
+        last_delta := delta;
+        (* Early exit: update norm inside tolerance AND the region
+           selection the LU was stamped with still matches the new
+           iterate — otherwise another pass re-stamps. *)
+        if converged delta scale && Fast_cache.regions_stable fs.cache !x_next
+        then begin
+          converged_at := !iter;
+          stop := true
+        end
+      done;
+      (match tel with
+      | None -> ()
+      | Some tl ->
+          note_substep tl ~last_delta:!last_delta ~converged_at:!converged_at);
+      let stress, lte = motion ~xm:fs.xm1 st.x !x_next in
+      if stress > !step_stress then step_stress := stress;
+      if lte > !step_lte then step_lte := lte;
+      if (lte > lte_refine || stress > stress_threshold) && ns < st.substeps
+      then
+        (* Over the error band and refinement headroom remains: abort
+           and redo the whole reporting step with more substeps. *)
+        aborted := true
+      else begin
+        (match tel with None -> () | Some tl -> note_stress tl stress);
+        fs.xm1 <- st.x;
+        st.x <- !x_next;
+        incr sub
+      end
+    done;
+    if !aborted then begin
+      st.x <- x_save;
+      fs.xm1 <- xm1_save;
+      fs.nsub <- min st.substeps (ns * 2);
+      retry := true
+    end
+    else begin
+      (match tel with
+      | Some tl -> tl.step_stress <- !step_stress; tl.step_nsub <- ns
+      | None -> ());
+      if !step_lte < lte_relax && !step_stress < stress_threshold /. 2.0 && ns > 1
+      then fs.nsub <- ns / 2
+    end
+  done;
+  Obs.Histogram.observe h_solver_passes (float_of_int (w.w_solves - solves0))
+
+(* The reporting step of any engine, shared by the steppers' [step] and
+   the whole-run drivers. *)
+let advance st ~input_at tel =
+  st.k <- st.k + 1;
+  (match st.kind with
+  | Eln lu -> step_eln st lu ~input_at
+  | Paper -> step_paper st ~input_at tel
+  | Fast fs -> step_fast st fs ~input_at tel);
+  st.out <- System.output_value st.sys st.output_var st.x;
+  st.out
+
+let step who st ~input_values =
+  let v = advance st ~input_at:(held_input who st.inputs input_values) None in
+  flush_work st.work ~steps:1;
+  v
+
+let read st v = System.output_value st.sys v st.x
+
+let reset st =
+  Array.fill st.x 0 (Array.length st.x) 0.0;
+  (match st.kind with
+  | Fast fs ->
+      fs.nsub <- st.substeps;
+      fs.xm1 <- Array.make (Array.length st.x) 0.0
+  | Eln _ | Paper -> ());
+  st.out <- 0.0;
+  st.k <- 0
+
+module Eln_stepper = struct
+  type t = stepper
 
   let create ?(solver = `Dense) circuit ~inputs ~output ~dt =
     if dt <= 0.0 then invalid_arg "Eln_stepper: dt must be positive";
@@ -374,67 +571,21 @@ module Eln_stepper = struct
       | `Dense -> Dense (Matrix.lu_factor (System.stamp_matrix sys ~h:dt))
       | `Sparse -> Sparse_lu (Sparse.lu_factor ~n (System.stamp_triplets sys ~h:dt))
     in
-    let work = { (new_work ()) with w_device_evals = 1; w_factorizations = 1 } in
-    { sys; lu; dt; inputs = Array.of_list inputs; output_var = output;
-      x = Array.make n 0.0; x_next = Array.make n 0.0; rhs = Array.make n 0.0;
-      out = 0.0; k = 0; work }
+    let st =
+      make_stepper (Eln lu) sys ~substeps:1 ~iterations:1 ~inputs ~output ~dt
+    in
+    st.work.w_device_evals <- 1;
+    st.work.w_factorizations <- 1;
+    st
 
-  (* The ELN reporting step: one RHS build and one triangular solve
-     with [input_at] sampled at the step's end. *)
-  let advance st ~input_at =
-    st.k <- st.k + 1;
-    let t = float_of_int st.k *. st.dt in
-    System.stamp_rhs st.sys ~h:st.dt ~state:st.x ~input:(input_at t) ~rhs:st.rhs;
-    (match st.lu with
-    | Dense lu -> Matrix.lu_solve_into lu ~b:st.rhs ~x:st.x_next
-    | Sparse_lu lu -> Sparse.lu_solve_into lu ~b:st.rhs ~x:st.x_next);
-    let w = st.work in
-    w.w_solves <- w.w_solves + 1;
-    w.w_rhs_builds <- w.w_rhs_builds + 1;
-    Array.blit st.x_next 0 st.x 0 (Array.length st.x);
-    st.out <- System.output_value st.sys st.output_var st.x;
-    st.out
-
-  let step st ~input_values =
-    let input_at = held_input "Eln_stepper" st.inputs input_values in
-    let v = advance st ~input_at in
-    flush_work st.work ~steps:1;
-    v
-
+  let step = step "Eln_stepper"
   let output st = st.out
-  let read st v = System.output_value st.sys v st.x
-
-  let reset st =
-    Array.fill st.x 0 (Array.length st.x) 0.0;
-    st.out <- 0.0;
-    st.k <- 0
+  let read = read
+  let reset = reset
 end
 
 module Spice_stepper = struct
-  (* Persistent fast-fidelity state: the factor cache survives across
-     ticks (the whole point of symbolic reuse in lock-step
-     co-simulation) and so does the adaptive substep count. *)
-  type fast = {
-    cache : Fast_cache.t;
-    mutable nsub : int;
-    mutable xm1 : float array;  (* state one substep back, for the LTE *)
-  }
-
-  type t = {
-    sys : System.t;
-    dt : float;
-    h : float;
-    substeps : int;
-    iterations : int;
-    inputs : string array;
-    output_var : Expr.var;
-    mutable x : float array;
-    rhs : float array;
-    mutable out : float;
-    mutable k : int;  (* reporting steps taken *)
-    work : work;
-    fast : fast option;  (* [None] = paper fidelity *)
-  }
+  type t = stepper
 
   let create ?(substeps = 8) ?(iterations = 3) ?(fidelity = `Paper) circuit
       ~inputs ~output ~dt =
@@ -443,201 +594,65 @@ module Spice_stepper = struct
       invalid_arg "Spice_stepper: substeps and iterations must be >= 1";
     let sys = System.build circuit in
     let n = System.size sys in
-    let fast =
+    let kind =
       match fidelity with
-      | `Paper -> None
+      | `Paper -> Paper
       | `Fast ->
-          Some
+          Fast
             { cache = Fast_cache.create sys; nsub = substeps;
               xm1 = Array.make n 0.0 }
     in
-    { sys; dt; h = dt /. float_of_int substeps; substeps; iterations;
-      inputs = Array.of_list inputs; output_var = output;
-      x = Array.make n 0.0; rhs = Array.make n 0.0; out = 0.0; k = 0;
-      work = new_work (); fast }
+    make_stepper kind sys ~substeps ~iterations ~inputs ~output ~dt
 
-  (* Substep [sub] of reporting step [step] lands on this instant; the
-     last one exactly on the reporting instant, so that stimulus edges
-     are sampled at the same points as the fixed-step engines (no
-     knife-edge drift on square waves). *)
-  let substep_time st ~step ~sub ~ns ~h =
-    if sub = ns then float_of_int step *. st.dt
-    else (float_of_int (step - 1) *. st.dt) +. (float_of_int sub *. h)
-
-  (* One paper-fidelity reporting step: every Newton pass of every
-     substep re-stamps the dense matrix and re-factors it. With [tel]
-     absent the loop does the solver's work and nothing else. *)
-  let step_paper st ~input_at tel =
-    let step = st.k and w = st.work and n = Array.length st.x in
-    (match tel with
-    | Some tl -> tl.step_wasted <- 0; tl.step_stress <- 0.0
-    | None -> ());
-    for sub = 1 to st.substeps do
-      let t = substep_time st ~step ~sub ~ns:st.substeps ~h:st.h in
-      let input = input_at t in
-      let x_next = ref st.x in
-      let converged_at = ref 0 and last_delta = ref infinity in
-      for iter = 1 to st.iterations do
-        (* Device evaluation: the full system is re-stamped (with
-           piecewise-linear regions selected by the latest estimate),
-           then re-factored, at every solver pass — the SPICE cost
-           model. *)
-        let m = System.stamp_matrix ~state:!x_next st.sys ~h:st.h in
-        w.w_device_evals <- w.w_device_evals + 1;
-        System.stamp_rhs st.sys ~h:st.h ~state:st.x ~input ~rhs:st.rhs;
-        w.w_rhs_builds <- w.w_rhs_builds + 1;
-        let lu =
-          try Matrix.lu_factor m
-          with Matrix.Singular k -> singular tel ~step ~time:t ~n k
-        in
-        w.w_factorizations <- w.w_factorizations + 1;
-        let prev = !x_next in
-        x_next := Matrix.lu_solve lu st.rhs;
-        w.w_solves <- w.w_solves + 1;
-        match tel with
-        | None -> ()
-        | Some tl ->
-            tl.total_iters <- tl.total_iters + 1;
-            (* Conditioning proxy sampled on the final pass only: the
-               re-stamped matrix drifts little between passes, and the
-               diagonal scan is a third of the telemetry's cost. *)
-            if iter = st.iterations then note_pivots tl (Matrix.pivot_range lu);
-            let delta, scale = update_norm prev !x_next in
-            last_delta := delta;
-            if !converged_at > 0 then begin
-              tl.wasted_iters <- tl.wasted_iters + 1;
-              tl.step_wasted <- tl.step_wasted + 1
-            end
-            else if converged delta scale then converged_at := iter
-      done;
-      (match tel with
-      | None -> ()
-      | Some tl ->
-          note_substep tl ~last_delta:!last_delta ~converged_at:!converged_at;
-          let stress, _ = motion st.x !x_next in
-          if stress > tl.step_stress then tl.step_stress <- stress;
-          note_stress tl stress);
-      st.x <- !x_next
-    done;
-    Obs.Histogram.observe h_solver_passes
-      (float_of_int (st.substeps * st.iterations))
-
-  (* One fast-fidelity reporting step: early-exit Newton over reused
-     sparse factors, adaptive substep count with refine-and-retry. The
-     update norm, stress and LTE drive the controller, so [tel] only
-     changes what is recorded, never the numerics. *)
-  let step_fast st fs ~input_at tel =
-    let step = st.k and w = st.work and n = Array.length st.x in
-    let x_save = st.x and xm1_save = fs.xm1 in
-    let passes = ref 0 and retry = ref true in
-    while !retry do
-      retry := false;
-      let ns = fs.nsub in
-      let h = st.dt /. float_of_int ns in
-      let step_stress = ref 0.0 and step_lte = ref 0.0 in
-      let aborted = ref false and sub = ref 1 in
-      while (not !aborted) && !sub <= ns do
-        let t = substep_time st ~step ~sub:!sub ~ns ~h in
-        (* The RHS depends only on the substep-start state and the
-           input, so one build serves every Newton pass. *)
-        System.stamp_rhs st.sys ~h ~state:st.x ~input:(input_at t) ~rhs:st.rhs;
-        w.w_rhs_builds <- w.w_rhs_builds + 1;
-        let x_next = ref st.x in
-        let converged_at = ref 0 and last_delta = ref infinity in
-        (* A linear network needs exactly one pass: the matrix does not
-           depend on the state, so the first solve is the solution. *)
-        let max_iters = if fs.cache.npwl > 0 then st.iterations else 1 in
-        let iter = ref 0 and stop = ref false in
-        while (not !stop) && !iter < max_iters do
-          incr iter;
-          let lu =
-            try Fast_cache.factor fs.cache w ~state:!x_next ~h
-            with Matrix.Singular k -> singular tel ~step ~time:t ~n k
-          in
-          let prev = !x_next in
-          x_next := Sparse.lu_solve lu st.rhs;
-          w.w_solves <- w.w_solves + 1;
-          incr passes;
-          (match tel with
-          | None -> ()
-          | Some tl ->
-              tl.total_iters <- tl.total_iters + 1;
-              note_pivots tl (Sparse.pivot_range lu));
-          let delta, scale = update_norm prev !x_next in
-          last_delta := delta;
-          (* Early exit: update norm inside tolerance AND the region
-             selection the LU was stamped with still matches the new
-             iterate — otherwise another pass re-stamps. *)
-          if converged delta scale && Fast_cache.regions_stable fs.cache !x_next
-          then begin
-            converged_at := !iter;
-            stop := true
-          end
-        done;
-        (match tel with
-        | None -> ()
-        | Some tl ->
-            note_substep tl ~last_delta:!last_delta ~converged_at:!converged_at);
-        let stress, lte = motion ~xm:fs.xm1 st.x !x_next in
-        if stress > !step_stress then step_stress := stress;
-        if lte > !step_lte then step_lte := lte;
-        if (lte > lte_refine || stress > stress_threshold) && ns < st.substeps
-        then
-          (* Over the error band and refinement headroom remains: abort
-             and redo the whole reporting step with more substeps. *)
-          aborted := true
-        else begin
-          (match tel with None -> () | Some tl -> note_stress tl stress);
-          fs.xm1 <- st.x;
-          st.x <- !x_next;
-          incr sub
-        end
-      done;
-      if !aborted then begin
-        st.x <- x_save;
-        fs.xm1 <- xm1_save;
-        fs.nsub <- min st.substeps (ns * 2);
-        retry := true
-      end
-      else begin
-        (match tel with
-        | Some tl -> tl.step_stress <- !step_stress; tl.step_nsub <- ns
-        | None -> ());
-        if !step_lte < lte_relax && !step_stress < stress_threshold /. 2.0 && ns > 1
-        then fs.nsub <- ns / 2
-      end
-    done;
-    Obs.Histogram.observe h_solver_passes (float_of_int !passes)
-
-  (* The reporting step of either fidelity, shared by [step] and the
-     whole-run driver. *)
-  let advance st ~input_at tel =
-    st.k <- st.k + 1;
-    (match st.fast with
-    | Some fs -> step_fast st fs ~input_at tel
-    | None -> step_paper st ~input_at tel);
-    st.out <- System.output_value st.sys st.output_var st.x;
-    st.out
-
-  let step st ~input_values =
-    let input_at = held_input "Spice_stepper" st.inputs input_values in
-    let v = advance st ~input_at None in
-    flush_work st.work ~steps:1;
-    v
-
+  let step = step "Spice_stepper"
   let output st = st.out
-  let read st v = System.output_value st.sys v st.x
-
-  let reset st =
-    Array.fill st.x 0 (Array.length st.x) 0.0;
-    Option.iter
-      (fun fs ->
-        fs.nsub <- st.substeps;
-        fs.xm1 <- Array.make (Array.length st.x) 0.0)
-      st.fast;
-    st.out <- 0.0;
-    st.k <- 0
+  let read = read
+  let reset = reset
 end
+
+(* The whole-run driver: runs [st]'s reporting step once per [dt] up to
+   [t_stop], sampling the stimuli at every substep. It builds the trace,
+   calls the probes, journals each step's [tel] record and flushes the
+   solver work into the counters once; returns the trace and stats. *)
+let drive ?observe ~inputs ~output ~t_stop tel st =
+  let input_at = input_fun inputs and dt = st.dt in
+  let nsteps = int_of_float (Float.round (t_stop /. dt)) in
+  let trace = Trace.create ~capacity:(nsteps + 1) () in
+  let read = read st in
+  Trace.add trace ~time:0.0 ~value:(read output);
+  (match observe with None -> () | Some f -> f 0.0 read);
+  for step = 1 to nsteps do
+    let value = advance st ~input_at tel in
+    let t = float_of_int step *. dt in
+    (match tel with
+    | Some tl when tl.journal ->
+        let nsub =
+          match st.kind with
+          | Fast _ -> [ ("nsub", Journal.I tl.step_nsub) ]
+          | Eln _ | Paper -> []
+        in
+        Journal.emit ~step ~time:t ~cat:"mna" "newton.step"
+          (("residual", Journal.F tl.step_residual)
+          :: ("converged_at", Journal.I tl.step_converged_at)
+          :: ("wasted", Journal.I tl.step_wasted)
+          :: ("stress", Journal.F tl.step_stress)
+          :: nsub)
+    | _ -> ());
+    Trace.add trace ~time:t ~value;
+    match observe with None -> () | Some f -> f t read
+  done;
+  let w = st.work in
+  let stats =
+    {
+      steps = nsteps;
+      device_evals = w.w_device_evals;
+      factorizations = w.w_factorizations;
+      solves = w.w_solves;
+    }
+  in
+  flush_work w ~steps:nsteps;
+  Obs.Gauge.set g_matrix_dim (float_of_int (Array.length st.x));
+  (trace, stats)
 
 let spice_like ?(substeps = 8) ?(iterations = 3) ?(fidelity = `Paper) ?observe
     circuit ~inputs ~output ~dt ~t_stop =
@@ -649,7 +664,6 @@ let spice_like ?(substeps = 8) ?(iterations = 3) ?(fidelity = `Paper) ?observe
     Spice_stepper.create ~substeps ~iterations ~fidelity circuit
       ~inputs:(List.map fst inputs) ~output ~dt
   in
-  let n = Array.length st.x and input_at = input_fun inputs in
   (* The paper path records convergence telemetry only while the
      journal is on; the fast path always does (its controller computes
      the same quantities anyway), the journal gating only the events. *)
@@ -657,27 +671,8 @@ let spice_like ?(substeps = 8) ?(iterations = 3) ?(fidelity = `Paper) ?observe
   let tel =
     if jn || fidelity = `Fast then Some (new_telemetry ~journal:jn) else None
   in
-  let advance step =
-    let v = Spice_stepper.advance st ~input_at tel in
-    (match tel with
-    | Some tl when tl.journal ->
-        let nsub =
-          if Option.is_some st.fast then [ ("nsub", Journal.I tl.step_nsub) ]
-          else []
-        in
-        Journal.emit ~step ~time:(float_of_int step *. dt) ~cat:"mna"
-          "newton.step"
-          (("residual", Journal.F tl.step_residual)
-          :: ("converged_at", Journal.I tl.step_converged_at)
-          :: ("wasted", Journal.I tl.step_wasted)
-          :: ("stress", Journal.F tl.step_stress) :: nsub)
-    | _ -> ());
-    v
-  in
-  let trace, stats =
-    drive ?observe ~dt ~t_stop ~n ~work:st.work ~read:(Spice_stepper.read st)
-      ~output0:(Spice_stepper.read st output) advance
-  in
+  let trace, stats = drive ?observe ~inputs ~output ~t_stop tel st in
+  let n = Array.length st.x in
   let newton = Option.map (summarize ~nsteps:stats.steps ~dt ~substeps ~n) tel in
   { trace; stats; matrix_dim = n; newton }
 
@@ -690,23 +685,24 @@ let eln_like ?observe circuit ~inputs ~output ~dt ~t_stop =
   let st =
     Eln_stepper.create circuit ~inputs:(List.map fst inputs) ~output ~dt
   in
-  let n = Array.length st.x and input_at = input_fun inputs in
-  let trace, stats =
-    drive ?observe ~dt ~t_stop ~n ~work:st.work ~read:(Eln_stepper.read st)
-      ~output0:(Eln_stepper.read st output) (fun _ ->
-        Eln_stepper.advance st ~input_at)
-  in
-  if Journal.enabled () then begin
-    let mn, mx =
-      match st.lu with
-      | Dense lu -> Matrix.pivot_range lu
-      | Sparse_lu lu -> Sparse.pivot_range lu
-    in
-    Journal.emit ~cat:"mna" "eln.run"
-      [ ("steps", Journal.I stats.steps); ("solves", Journal.I stats.solves);
-        ("pivot_min", Journal.F mn); ("pivot_max", Journal.F mx);
-        ("dim", Journal.I n) ]
-  end;
+  let trace, stats = drive ?observe ~inputs ~output ~t_stop None st in
+  let n = Array.length st.x in
+  (match st.kind with
+  | Eln lu when Journal.enabled () ->
+      let mn, mx =
+        match lu with
+        | Dense lu -> Matrix.pivot_range lu
+        | Sparse_lu lu -> Sparse.pivot_range lu
+      in
+      Journal.emit ~cat:"mna" "eln.run"
+        [
+          ("steps", Journal.I stats.steps);
+          ("solves", Journal.I stats.solves);
+          ("pivot_min", Journal.F mn);
+          ("pivot_max", Journal.F mx);
+          ("dim", Journal.I n);
+        ]
+  | _ -> ());
   { trace; stats; matrix_dim = n; newton = None }
 
 let run_testcase_spice ?substeps ?iterations ?fidelity
