@@ -122,7 +122,7 @@ let motion ?xm x0 x1 =
   (!stress, !lte)
 
 (* Solver work done since the last flush into the registry counters:
-   a stepper flushes after every tick, a whole-run driver once. *)
+   a stepper flushes after every tick, a whole run once. *)
 type work = {
   mutable w_device_evals : int;
   mutable w_factorizations : int;
@@ -146,7 +146,7 @@ let flush_work w ~steps =
   w.w_rhs_builds <- 0
 
 (* Convergence telemetry of a whole run, passed to the step function by
-   the whole-run driver only (steppers run inside a DE kernel; the host
+   the whole-run loop only (steppers run inside a DE kernel; the host
    owns observability). [journal] gates the per-event records; the
    [step_*] fields describe the last reporting step. *)
 type telemetry = {
@@ -337,7 +337,7 @@ type factors = Dense of Matrix.lu | Sparse_lu of Sparse.lu
 type kind = Eln of factors | Paper | Fast of fast
 
 (* One engine's state between reporting steps: what a stepper holds and
-   what a whole-run driver steps. *)
+   what a whole run steps. *)
 type stepper = {
   kind : kind;
   sys : System.t;
@@ -528,7 +528,7 @@ let step_fast st fs ~input_at tel =
   Obs.Histogram.observe h_solver_passes (float_of_int (w.w_solves - solves0))
 
 (* The reporting step of any engine, shared by the steppers' [step] and
-   the whole-run drivers. *)
+   the whole-run loop. *)
 let advance st ~input_at tel =
   st.k <- st.k + 1;
   (match st.kind with
@@ -610,7 +610,7 @@ module Spice_stepper = struct
   let reset = reset
 end
 
-(* The whole-run driver: runs [st]'s reporting step once per [dt] up to
+(* The whole-run loop: runs [st]'s reporting step once per [dt] up to
    [t_stop], sampling the stimuli at every substep. It builds the trace,
    calls the probes, journals each step's [tel] record and flushes the
    solver work into the counters once; returns the trace and stats. *)

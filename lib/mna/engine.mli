@@ -17,7 +17,7 @@
     Each engine (and each {!spice_like} fidelity) has exactly one
     reporting-step function. Its stepper ({!Spice_stepper},
     {!Eln_stepper}) calls it once per [step]; the whole-run entry
-    point ({!spice_like}, {!eln_like}) is a driver that calls the same
+    point ({!spice_like}, {!eln_like}) is a loop that calls the same
     function once per reporting step and adds the trace, the [observe]
     probes, the convergence journal and the run summary. The two
     differ only in where the inputs come from: the whole run samples
