@@ -87,8 +87,19 @@ let stress_threshold = 0.5
 let lte_refine = 0.05
 let lte_relax = lte_refine /. 8.0
 
-(* Update norm ||xn - prev||_inf and iterate scale ||xn||_inf. *)
-let update_norm prev xn =
+(* What the per-pass scans measured. All its fields are floats, so OCaml
+   stores them unboxed and the scans write them without allocating. *)
+type scan = {
+  mutable delta : float;  (* update norm ||xn - prev||_inf *)
+  mutable scale : float;  (* iterate scale ||xn||_inf *)
+  mutable stress : float;  (* largest relative state motion *)
+  mutable lte : float;  (* local-truncation-error proxy *)
+}
+
+let new_scan () = { delta = 0.0; scale = 0.0; stress = 0.0; lte = 0.0 }
+
+(* Update norm and iterate scale of the Newton iterate [xn]. *)
+let update_norm sc prev xn =
   let delta = ref 0.0 and scale = ref 0.0 in
   for i = 0 to Array.length xn - 1 do
     let d = abs_float (xn.(i) -. prev.(i)) in
@@ -96,14 +107,15 @@ let update_norm prev xn =
     let m = abs_float xn.(i) in
     if m > !scale then scale := m
   done;
-  (!delta, !scale)
+  sc.delta <- !delta;
+  sc.scale <- !scale
 
-let converged delta scale = delta <= (newton_rtol *. scale) +. newton_atol
+let converged sc = sc.delta <= (newton_rtol *. sc.scale) +. newton_atol
 
 (* Stress (largest relative state motion over the substep x0 -> x1)
    and, given the state one substep earlier [xm], the LTE proxy (scaled
    second difference, ~ h^2/2 * |x''|; 0 without [xm]). *)
-let motion ?xm x0 x1 =
+let motion ?xm sc x0 x1 =
   let stress = ref 0.0 and lte = ref 0.0 in
   for i = 0 to Array.length x0 - 1 do
     let m = Float.max (abs_float x0.(i)) (abs_float x1.(i)) in
@@ -119,7 +131,8 @@ let motion ?xm x0 x1 =
           if l > !lte then lte := l
     end
   done;
-  (!stress, !lte)
+  sc.stress <- !stress;
+  sc.lte <- !lte
 
 (* Solver work done since the last flush into the registry counters:
    a stepper flushes after every tick, a whole run once. *)
@@ -145,6 +158,16 @@ let flush_work w ~steps =
   w.w_solves <- 0;
   w.w_rhs_builds <- 0
 
+(* The float fields of [telemetry], in a record of their own: an
+   all-float record is stored unboxed, so updating it allocates
+   nothing. *)
+type extremes = {
+  mutable max_residual : float;
+  mutable dt_stress : float;
+  mutable step_residual : float;
+  mutable step_stress : float;
+}
+
 (* Convergence telemetry of a whole run, passed to the step function by
    the whole-run loop only (steppers run inside a DE kernel; the host
    owns observability). [journal] gates the per-event records; the
@@ -153,38 +176,32 @@ type telemetry = {
   journal : bool;
   mutable total_iters : int;
   mutable wasted_iters : int;
-  mutable max_residual : float;
-  mutable pivot_min : float;
-  mutable pivot_max : float;
-  mutable dt_stress : float;
   mutable stressed_substeps : int;
-  mutable step_residual : float;
   mutable step_converged_at : int;
   mutable step_wasted : int;
-  mutable step_stress : float;
   mutable step_nsub : int;
+  pivots : Matrix.pivot_range;
+  ext : extremes;
 }
 
 let new_telemetry ~journal =
-  { journal; total_iters = 0; wasted_iters = 0; max_residual = 0.0;
-    pivot_min = infinity; pivot_max = 0.0; dt_stress = 0.0;
-    stressed_substeps = 0; step_residual = 0.0; step_converged_at = 0;
-    step_wasted = 0; step_stress = 0.0; step_nsub = 0 }
+  { journal; total_iters = 0; wasted_iters = 0; stressed_substeps = 0;
+    step_converged_at = 0; step_wasted = 0; step_nsub = 0;
+    pivots = Matrix.empty_pivot_range ();
+    ext = { max_residual = 0.0; dt_stress = 0.0; step_residual = 0.0;
+            step_stress = 0.0 } }
 
-let note_pivots tl (mn, mx) =
-  if mn < tl.pivot_min then tl.pivot_min <- mn;
-  if mx > tl.pivot_max then tl.pivot_max <- mx
-
-(* End of a Newton substep: its final update norm and converging pass. *)
-let note_substep tl ~last_delta ~converged_at =
+(* End of a Newton substep: its final update norm and converging pass.
+   Inlined, like [note_stress], so that the float is not boxed. *)
+let[@inline] note_substep tl ~last_delta ~converged_at =
   if tl.journal then Obs.Histogram.observe h_newton_residual last_delta;
-  if last_delta > tl.max_residual then tl.max_residual <- last_delta;
-  tl.step_residual <- last_delta;
+  if last_delta > tl.ext.max_residual then tl.ext.max_residual <- last_delta;
+  tl.ext.step_residual <- last_delta;
   tl.step_converged_at <- converged_at
 
 (* An accepted substep's relative state motion. *)
-let note_stress tl stress =
-  if stress > tl.dt_stress then tl.dt_stress <- stress;
+let[@inline] note_stress tl stress =
+  if stress > tl.ext.dt_stress then tl.ext.dt_stress <- stress;
   if stress > stress_threshold then
     tl.stressed_substeps <- tl.stressed_substeps + 1
 
@@ -202,59 +219,38 @@ let singular tel ~step ~time ~n k =
    [newton.run] record, plus the telemetry as returned to the caller. *)
 let summarize tl ~nsteps ~dt ~substeps ~n =
   Obs.Counter.add c_newton_wasted tl.wasted_iters;
+  let { Matrix.pivot_min; pivot_max } = tl.pivots
+  and { max_residual; dt_stress; _ } = tl.ext in
   if tl.journal then begin
     let pivot_ratio =
-      if tl.pivot_min > 0.0 && tl.pivot_min < infinity then
-        tl.pivot_max /. tl.pivot_min
+      if pivot_min > 0.0 && pivot_min < infinity then
+        pivot_max /. pivot_min
       else infinity
     in
     let f v = Journal.F v and i v = Journal.I v in
     if pivot_ratio > 1e12 then
       Journal.emit ~severity:Journal.Warn ~cat:"mna" "conditioning"
-        [ ("pivot_min", f tl.pivot_min); ("pivot_max", f tl.pivot_max);
+        [ ("pivot_min", f pivot_min); ("pivot_max", f pivot_max);
           ("pivot_ratio", f pivot_ratio) ];
     if tl.stressed_substeps > 0 then
       Journal.emit ~severity:Journal.Warn ~cat:"mna" "dt_stress"
-        [ ("max_rel_change", f tl.dt_stress);
+        [ ("max_rel_change", f dt_stress);
           ("stressed_substeps", i tl.stressed_substeps); ("dt", f dt);
           ("substeps", i substeps) ];
     Journal.emit ~cat:"mna" "newton.run"
       [ ("steps", i nsteps); ("total_iters", i tl.total_iters);
         ("wasted_iters", i tl.wasted_iters);
-        ("max_residual", f tl.max_residual); ("pivot_min", f tl.pivot_min);
-        ("pivot_max", f tl.pivot_max); ("dt_stress", f tl.dt_stress);
+        ("max_residual", f max_residual); ("pivot_min", f pivot_min);
+        ("pivot_max", f pivot_max); ("dt_stress", f dt_stress);
         ("dim", i n) ]
   end;
   { total_iters = tl.total_iters; wasted_iters = tl.wasted_iters;
-    max_residual = tl.max_residual; pivot_min = tl.pivot_min;
-    pivot_max = tl.pivot_max; dt_stress = tl.dt_stress;
+    max_residual; pivot_min; pivot_max; dt_stress;
     stressed_substeps = tl.stressed_substeps }
 
 let check_args ~dt ~t_stop =
   if dt <= 0.0 then invalid_arg "Engine: dt must be positive";
   if t_stop < dt then invalid_arg "Engine: t_stop shorter than one step"
-
-(* Whole-run stimulus lookup: input [name] sampled at time [t]. *)
-let input_fun inputs =
-  let tbl = Hashtbl.of_seq (List.to_seq inputs) in
-  fun t name ->
-    match Hashtbl.find_opt tbl name with
-    | Some f -> f t
-    | None -> invalid_arg ("Engine: no stimulus bound to input " ^ name)
-
-(* Stepper stimulus lookup: [input_values] (ordered as [names]) held
-   for the whole tick, whatever time the step samples it at. *)
-let held_input who names input_values =
-  if Array.length input_values <> Array.length names then
-    invalid_arg
-      (Printf.sprintf "%s.step: expected %d input(s), got %d" who
-         (Array.length names) (Array.length input_values));
-  let input name =
-    match Array.find_index (String.equal name) names with
-    | Some i -> input_values.(i)
-    | None -> invalid_arg (who ^ ": unknown input " ^ name)
-  in
-  fun _t -> input
 
 (* Shared factor cache of the fast fidelity path: the sparse symbolic
    factorisation is computed once per topology, and the numeric factors
@@ -333,11 +329,24 @@ type fast = {
 
 type factors = Dense of Matrix.lu | Sparse_lu of Sparse.lu
 
+(* The paper fidelity's per-pass buffers, owned by the stepper: every
+   pass re-stamps [m] and re-factors it into [lu] in place, and the
+   Newton iterates rotate through the state vector and the two spares,
+   so that the previous iterate, the new one and the state never
+   alias. *)
+type paper = {
+  m : Matrix.t;
+  lu : Matrix.lu;
+  mutable spare_a : float array;
+  mutable spare_b : float array;
+}
+
 (* Which reporting step a stepper runs. *)
-type kind = Eln of factors | Paper | Fast of fast
+type kind = Eln of factors | Paper of paper | Fast of fast
 
 (* One engine's state between reporting steps: what a stepper holds and
-   what a whole run steps. *)
+   what a whole run steps. Inputs and the output are resolved to
+   indices at creation, so a step looks nothing up by name. *)
 type stepper = {
   kind : kind;
   sys : System.t;
@@ -345,28 +354,50 @@ type stepper = {
   substeps : int;
   iterations : int;
   h : float;  (* the paper fidelity's fixed substep *)
-  inputs : string array;
-  output_var : Expr.var;
+  arity : int;  (* length of [step]'s [input_values] *)
+  slots : int array;  (* System input slot -> index in [input_values] *)
+  u : float array;  (* input values by System input slot *)
+  probe : System.output;
   mutable x : float array;
   x_next : float array;  (* the ELN solve's target *)
   rhs : float array;
+  scan : scan;
   mutable out : float;
   mutable k : int;  (* reporting steps taken *)
   work : work;
 }
 
-let make_stepper kind sys ~substeps ~iterations ~inputs ~output ~dt =
+let make_stepper who kind sys ~substeps ~iterations ~inputs ~output ~dt =
   let n = System.size sys in
+  let names = Array.of_list inputs in
+  let slot name =
+    match Array.find_index (String.equal name) names with
+    | Some i -> i
+    | None -> invalid_arg (who ^ ": unknown input " ^ name)
+  in
+  let slots = Array.map slot (System.inputs sys) in
   { kind; sys; dt; substeps; iterations; h = dt /. float_of_int substeps;
-    inputs = Array.of_list inputs; output_var = output;
-    x = Array.make n 0.0; x_next = Array.make n 0.0; rhs = Array.make n 0.0;
+    arity = Array.length names; slots; u = Array.make (Array.length slots) 0.0;
+    probe = System.output sys output; x = Array.make n 0.0;
+    x_next = Array.make n 0.0; rhs = Array.make n 0.0; scan = new_scan ();
     out = 0.0; k = 0; work = new_work () }
 
+(* Set the input values for time [t]. The whole run passes its stimuli
+   (by input slot) and samples them at every substep; a stepper passes
+   [None], its [step] having stored the tick's held values already. *)
+let sample st stimuli t =
+  match stimuli with
+  | None -> ()
+  | Some stimuli ->
+      for i = 0 to Array.length stimuli - 1 do
+        st.u.(i) <- stimuli.(i) t
+      done
+
 (* The ELN reporting step: one RHS build and one triangular solve, with
-   [input_at] sampled at the step's end. *)
-let step_eln st lu ~input_at =
-  let t = float_of_int st.k *. st.dt in
-  System.stamp_rhs st.sys ~h:st.dt ~state:st.x ~input:(input_at t) ~rhs:st.rhs;
+   the inputs sampled at the step's end. *)
+let step_eln st lu ~stimuli =
+  sample st stimuli (float_of_int st.k *. st.dt);
+  System.stamp_rhs_values st.sys ~h:st.dt ~state:st.x ~inputs:st.u ~rhs:st.rhs;
   (match lu with
   | Dense lu -> Matrix.lu_solve_into lu ~b:st.rhs ~x:st.x_next
   | Sparse_lu lu -> Sparse.lu_solve_into lu ~b:st.rhs ~x:st.x_next);
@@ -384,16 +415,18 @@ let substep_time st ~step ~sub ~ns ~h =
   else (float_of_int (step - 1) *. st.dt) +. (float_of_int sub *. h)
 
 (* One paper-fidelity reporting step: every Newton pass of every
-   substep re-stamps the dense matrix and re-factors it. With [tel]
-   absent the loop does the solver's work and nothing else. *)
-let step_paper st ~input_at tel =
+   substep re-stamps the dense matrix and re-factors it, in the
+   buffers of [p]. With [tel] absent the loop does the solver's work
+   and nothing else; it allocates nothing per pass either way. *)
+let step_paper st p ~stimuli tel =
   let step = st.k and w = st.work and n = Array.length st.x in
+  let sc = st.scan in
   (match tel with
-  | Some tl -> tl.step_wasted <- 0; tl.step_stress <- 0.0
+  | Some tl -> tl.step_wasted <- 0; tl.ext.step_stress <- 0.0
   | None -> ());
   for sub = 1 to st.substeps do
     let t = substep_time st ~step ~sub ~ns:st.substeps ~h:st.h in
-    let input = input_at t in
+    sample st stimuli t;
     let x_next = ref st.x in
     let converged_at = ref 0 and last_delta = ref infinity in
     for iter = 1 to st.iterations do
@@ -401,17 +434,18 @@ let step_paper st ~input_at tel =
          piecewise-linear regions selected by the latest estimate),
          then re-factored, at every solver pass — the SPICE cost
          model. *)
-      let m = System.stamp_matrix ~state:!x_next st.sys ~h:st.h in
+      System.stamp_matrix_into st.sys ~h:st.h ~state:!x_next p.m;
       w.w_device_evals <- w.w_device_evals + 1;
-      System.stamp_rhs st.sys ~h:st.h ~state:st.x ~input ~rhs:st.rhs;
+      System.stamp_rhs_values st.sys ~h:st.h ~state:st.x ~inputs:st.u
+        ~rhs:st.rhs;
       w.w_rhs_builds <- w.w_rhs_builds + 1;
-      let lu =
-        try Matrix.lu_factor m
-        with Matrix.Singular k -> singular tel ~step ~time:t ~n k
-      in
+      (try Matrix.lu_factor_into p.m p.lu
+       with Matrix.Singular k -> singular tel ~step ~time:t ~n k);
       w.w_factorizations <- w.w_factorizations + 1;
       let prev = !x_next in
-      x_next := Matrix.lu_solve lu st.rhs;
+      let next = if prev == p.spare_a then p.spare_b else p.spare_a in
+      Matrix.lu_solve_into p.lu ~b:st.rhs ~x:next;
+      x_next := next;
       w.w_solves <- w.w_solves + 1;
       match tel with
       | None -> ()
@@ -420,23 +454,26 @@ let step_paper st ~input_at tel =
           (* Conditioning proxy sampled on the final pass only: the
              re-stamped matrix drifts little between passes, and the
              diagonal scan is a third of the telemetry's cost. *)
-          if iter = st.iterations then note_pivots tl (Matrix.pivot_range lu);
-          let delta, scale = update_norm prev !x_next in
-          last_delta := delta;
+          if iter = st.iterations then Matrix.widen_pivot_range tl.pivots p.lu;
+          update_norm sc prev next;
+          last_delta := sc.delta;
           if !converged_at > 0 then begin
             tl.wasted_iters <- tl.wasted_iters + 1;
             tl.step_wasted <- tl.step_wasted + 1
           end
-          else if converged delta scale then converged_at := iter
+          else if converged sc then converged_at := iter
     done;
     (match tel with
     | None -> ()
     | Some tl ->
         note_substep tl ~last_delta:!last_delta ~converged_at:!converged_at;
-        let stress, _ = motion st.x !x_next in
-        if stress > tl.step_stress then tl.step_stress <- stress;
-        note_stress tl stress);
-    st.x <- !x_next
+        motion sc st.x !x_next;
+        if sc.stress > tl.ext.step_stress then tl.ext.step_stress <- sc.stress;
+        note_stress tl sc.stress);
+    (* The last iterate becomes the state; the old state a spare. *)
+    let x_old = st.x in
+    st.x <- !x_next;
+    if !x_next == p.spare_a then p.spare_a <- x_old else p.spare_b <- x_old
   done;
   Obs.Histogram.observe h_solver_passes
     (float_of_int (st.substeps * st.iterations))
@@ -445,8 +482,9 @@ let step_paper st ~input_at tel =
    sparse factors, adaptive substep count with refine-and-retry. The
    update norm, stress and LTE drive the controller, so [tel] only
    changes what is recorded, never the numerics. *)
-let step_fast st fs ~input_at tel =
+let step_fast st fs ~stimuli tel =
   let step = st.k and w = st.work and n = Array.length st.x in
+  let sc = st.scan in
   let x_save = st.x and xm1_save = fs.xm1 in
   let solves0 = w.w_solves and retry = ref true in
   while !retry do
@@ -459,7 +497,8 @@ let step_fast st fs ~input_at tel =
       let t = substep_time st ~step ~sub:!sub ~ns ~h in
       (* The RHS depends only on the substep-start state and the
          input, so one build serves every Newton pass. *)
-      System.stamp_rhs st.sys ~h ~state:st.x ~input:(input_at t) ~rhs:st.rhs;
+      sample st stimuli t;
+      System.stamp_rhs_values st.sys ~h ~state:st.x ~inputs:st.u ~rhs:st.rhs;
       w.w_rhs_builds <- w.w_rhs_builds + 1;
       let x_next = ref st.x in
       let converged_at = ref 0 and last_delta = ref infinity in
@@ -480,13 +519,13 @@ let step_fast st fs ~input_at tel =
         | None -> ()
         | Some tl ->
             tl.total_iters <- tl.total_iters + 1;
-            note_pivots tl (Sparse.pivot_range lu));
-        let delta, scale = update_norm prev !x_next in
-        last_delta := delta;
+            Sparse.widen_pivot_range tl.pivots lu);
+        update_norm sc prev !x_next;
+        last_delta := sc.delta;
         (* Early exit: update norm inside tolerance AND the region
            selection the LU was stamped with still matches the new
            iterate — otherwise another pass re-stamps. *)
-        if converged delta scale && Fast_cache.regions_stable fs.cache !x_next
+        if converged sc && Fast_cache.regions_stable fs.cache !x_next
         then begin
           converged_at := !iter;
           stop := true
@@ -496,7 +535,8 @@ let step_fast st fs ~input_at tel =
       | None -> ()
       | Some tl ->
           note_substep tl ~last_delta:!last_delta ~converged_at:!converged_at);
-      let stress, lte = motion ~xm:fs.xm1 st.x !x_next in
+      motion ~xm:fs.xm1 sc st.x !x_next;
+      let stress = sc.stress and lte = sc.lte in
       if stress > !step_stress then step_stress := stress;
       if lte > !step_lte then step_lte := lte;
       if (lte > lte_refine || stress > stress_threshold) && ns < st.substeps
@@ -519,7 +559,7 @@ let step_fast st fs ~input_at tel =
     end
     else begin
       (match tel with
-      | Some tl -> tl.step_stress <- !step_stress; tl.step_nsub <- ns
+      | Some tl -> tl.ext.step_stress <- !step_stress; tl.step_nsub <- ns
       | None -> ());
       if !step_lte < lte_relax && !step_stress < stress_threshold /. 2.0 && ns > 1
       then fs.nsub <- ns / 2
@@ -529,17 +569,26 @@ let step_fast st fs ~input_at tel =
 
 (* The reporting step of any engine, shared by the steppers' [step] and
    the whole-run loop. *)
-let advance st ~input_at tel =
+let advance st ~stimuli tel =
   st.k <- st.k + 1;
   (match st.kind with
-  | Eln lu -> step_eln st lu ~input_at
-  | Paper -> step_paper st ~input_at tel
-  | Fast fs -> step_fast st fs ~input_at tel);
-  st.out <- System.output_value st.sys st.output_var st.x;
+  | Eln lu -> step_eln st lu ~stimuli
+  | Paper p -> step_paper st p ~stimuli tel
+  | Fast fs -> step_fast st fs ~stimuli tel);
+  st.out <- System.read_output st.probe st.x;
   st.out
 
+(* A stepper's tick: [input_values] (ordered as the stepper's inputs)
+   are held for the whole tick, whatever time the step samples at. *)
 let step who st ~input_values =
-  let v = advance st ~input_at:(held_input who st.inputs input_values) None in
+  if Array.length input_values <> st.arity then
+    invalid_arg
+      (Printf.sprintf "%s.step: expected %d input(s), got %d" who st.arity
+         (Array.length input_values));
+  for i = 0 to Array.length st.slots - 1 do
+    st.u.(i) <- input_values.(st.slots.(i))
+  done;
+  let v = advance st ~stimuli:None None in
   flush_work st.work ~steps:1;
   v
 
@@ -551,33 +600,57 @@ let reset st =
   | Fast fs ->
       fs.nsub <- st.substeps;
       fs.xm1 <- Array.make (Array.length st.x) 0.0
-  | Eln _ | Paper -> ());
+  | Eln _ | Paper _ -> ());
   st.out <- 0.0;
   st.k <- 0
+
+(* [who] names the caller in the error messages: the stepper module, or
+   the whole-run engine that creates its stepper through the same
+   function. *)
+let create_eln who ?(solver = `Dense) circuit ~inputs ~output ~dt =
+  if dt <= 0.0 then invalid_arg (who ^ ": dt must be positive");
+  if Amsvp_netlist.Circuit.has_pwl circuit then
+    invalid_arg (who ^ ": the linear-network engine cannot simulate \
+                       piecewise-linear devices");
+  let sys = System.build circuit in
+  let n = System.size sys in
+  (* Linear fixed-step network: assemble and factor exactly once. *)
+  let lu =
+    match solver with
+    | `Dense -> Dense (Matrix.lu_factor (System.stamp_matrix sys ~h:dt))
+    | `Sparse -> Sparse_lu (Sparse.lu_factor ~n (System.stamp_triplets sys ~h:dt))
+  in
+  let st =
+    make_stepper who (Eln lu) sys ~substeps:1 ~iterations:1 ~inputs ~output ~dt
+  in
+  st.work.w_device_evals <- 1;
+  st.work.w_factorizations <- 1;
+  st
+
+let create_spice who ?(substeps = 8) ?(iterations = 3) ?(fidelity = `Paper)
+    circuit ~inputs ~output ~dt =
+  if dt <= 0.0 then invalid_arg (who ^ ": dt must be positive");
+  if substeps < 1 || iterations < 1 then
+    invalid_arg (who ^ ": substeps and iterations must be >= 1");
+  let sys = System.build circuit in
+  let n = System.size sys in
+  let kind =
+    match fidelity with
+    | `Paper ->
+        Paper
+          { m = Matrix.create n; lu = Matrix.lu_create n;
+            spare_a = Array.make n 0.0; spare_b = Array.make n 0.0 }
+    | `Fast ->
+        Fast
+          { cache = Fast_cache.create sys; nsub = substeps;
+            xm1 = Array.make n 0.0 }
+  in
+  make_stepper who kind sys ~substeps ~iterations ~inputs ~output ~dt
 
 module Eln_stepper = struct
   type t = stepper
 
-  let create ?(solver = `Dense) circuit ~inputs ~output ~dt =
-    if dt <= 0.0 then invalid_arg "Eln_stepper: dt must be positive";
-    if Amsvp_netlist.Circuit.has_pwl circuit then
-      invalid_arg "Eln_stepper: the linear-network engine cannot simulate \
-                   piecewise-linear devices";
-    let sys = System.build circuit in
-    let n = System.size sys in
-    (* Linear fixed-step network: assemble and factor exactly once. *)
-    let lu =
-      match solver with
-      | `Dense -> Dense (Matrix.lu_factor (System.stamp_matrix sys ~h:dt))
-      | `Sparse -> Sparse_lu (Sparse.lu_factor ~n (System.stamp_triplets sys ~h:dt))
-    in
-    let st =
-      make_stepper (Eln lu) sys ~substeps:1 ~iterations:1 ~inputs ~output ~dt
-    in
-    st.work.w_device_evals <- 1;
-    st.work.w_factorizations <- 1;
-    st
-
+  let create = create_eln "Eln_stepper"
   let step = step "Eln_stepper"
   let output st = st.out
   let read = read
@@ -587,23 +660,7 @@ end
 module Spice_stepper = struct
   type t = stepper
 
-  let create ?(substeps = 8) ?(iterations = 3) ?(fidelity = `Paper) circuit
-      ~inputs ~output ~dt =
-    if dt <= 0.0 then invalid_arg "Spice_stepper: dt must be positive";
-    if substeps < 1 || iterations < 1 then
-      invalid_arg "Spice_stepper: substeps and iterations must be >= 1";
-    let sys = System.build circuit in
-    let n = System.size sys in
-    let kind =
-      match fidelity with
-      | `Paper -> Paper
-      | `Fast ->
-          Fast
-            { cache = Fast_cache.create sys; nsub = substeps;
-              xm1 = Array.make n 0.0 }
-    in
-    make_stepper kind sys ~substeps ~iterations ~inputs ~output ~dt
-
+  let create = create_spice "Spice_stepper"
   let step = step "Spice_stepper"
   let output st = st.out
   let read = read
@@ -613,29 +670,33 @@ end
 (* The whole-run loop: runs [st]'s reporting step once per [dt] up to
    [t_stop], sampling the stimuli at every substep. It builds the trace,
    calls the probes, journals each step's [tel] record and flushes the
-   solver work into the counters once; returns the trace and stats. *)
+   solver work into the counters once; returns the trace and stats.
+   [st] was created with the stimuli's names as its inputs, so every
+   input slot has a stimulus. *)
 let drive ?observe ~inputs ~output ~t_stop tel st =
-  let input_at = input_fun inputs and dt = st.dt in
+  let by_name = Hashtbl.of_seq (List.to_seq inputs) in
+  let stimuli = Some (Array.map (Hashtbl.find by_name) (System.inputs st.sys)) in
+  let dt = st.dt in
   let nsteps = int_of_float (Float.round (t_stop /. dt)) in
   let trace = Trace.create ~capacity:(nsteps + 1) () in
   let read = read st in
   Trace.add trace ~time:0.0 ~value:(read output);
   (match observe with None -> () | Some f -> f 0.0 read);
   for step = 1 to nsteps do
-    let value = advance st ~input_at tel in
+    let value = advance st ~stimuli tel in
     let t = float_of_int step *. dt in
     (match tel with
     | Some tl when tl.journal ->
         let nsub =
           match st.kind with
           | Fast _ -> [ ("nsub", Journal.I tl.step_nsub) ]
-          | Eln _ | Paper -> []
+          | Eln _ | Paper _ -> []
         in
         Journal.emit ~step ~time:t ~cat:"mna" "newton.step"
-          (("residual", Journal.F tl.step_residual)
+          (("residual", Journal.F tl.ext.step_residual)
           :: ("converged_at", Journal.I tl.step_converged_at)
           :: ("wasted", Journal.I tl.step_wasted)
-          :: ("stress", Journal.F tl.step_stress)
+          :: ("stress", Journal.F tl.ext.step_stress)
           :: nsub)
     | _ -> ());
     Trace.add trace ~time:t ~value;
@@ -661,7 +722,7 @@ let spice_like ?(substeps = 8) ?(iterations = 3) ?(fidelity = `Paper) ?observe
     invalid_arg "Engine.spice_like: substeps and iterations must be >= 1";
   Obs.with_span ~cat:"mna" "mna.spice_like" @@ fun () ->
   let st =
-    Spice_stepper.create ~substeps ~iterations ~fidelity circuit
+    create_spice "Engine" ~substeps ~iterations ~fidelity circuit
       ~inputs:(List.map fst inputs) ~output ~dt
   in
   (* The paper path records convergence telemetry only while the
@@ -682,24 +743,21 @@ let eln_like ?observe circuit ~inputs ~output ~dt ~t_stop =
     invalid_arg "Engine.eln_like: the linear-network engine cannot simulate \
                  piecewise-linear devices";
   Obs.with_span ~cat:"mna" "mna.eln_like" @@ fun () ->
-  let st =
-    Eln_stepper.create circuit ~inputs:(List.map fst inputs) ~output ~dt
-  in
+  let st = create_eln "Engine" circuit ~inputs:(List.map fst inputs) ~output ~dt in
   let trace, stats = drive ?observe ~inputs ~output ~t_stop None st in
   let n = Array.length st.x in
   (match st.kind with
   | Eln lu when Journal.enabled () ->
-      let mn, mx =
-        match lu with
-        | Dense lu -> Matrix.pivot_range lu
-        | Sparse_lu lu -> Sparse.pivot_range lu
-      in
+      let r = Matrix.empty_pivot_range () in
+      (match lu with
+      | Dense lu -> Matrix.widen_pivot_range r lu
+      | Sparse_lu lu -> Sparse.widen_pivot_range r lu);
       Journal.emit ~cat:"mna" "eln.run"
         [
           ("steps", Journal.I stats.steps);
           ("solves", Journal.I stats.solves);
-          ("pivot_min", Journal.F mn);
-          ("pivot_max", Journal.F mx);
+          ("pivot_min", Journal.F r.pivot_min);
+          ("pivot_max", Journal.F r.pivot_max);
           ("dim", Journal.I n);
         ]
   | _ -> ());

@@ -25,14 +25,24 @@ let add_to m i j v =
 let copy m = { n = m.n; a = Array.copy m.a }
 let fill_zero m = Array.fill m.a 0 (Array.length m.a) 0.0
 
+let storage m = m.a
+
 type lu = { ln : int; lu : float array; perm : int array }
 
 exception Singular of int
 
-let lu_factor m =
+let lu_create n =
+  if n < 0 then invalid_arg "Matrix.lu_create: negative dimension";
+  { ln = n; lu = Array.make (n * n) 0.0; perm = Array.make n 0 }
+
+let lu_factor_into m f =
   let n = m.n in
-  let a = Array.copy m.a in
-  let perm = Array.init n (fun i -> i) in
+  if f.ln <> n then invalid_arg "Matrix.lu_factor_into: dimension mismatch";
+  let a = f.lu and perm = f.perm in
+  Array.blit m.a 0 a 0 (n * n);
+  for i = 0 to n - 1 do
+    perm.(i) <- i
+  done;
   for k = 0 to n - 1 do
     (* Partial pivoting: pick the largest magnitude in column k. *)
     let pivot_row = ref k in
@@ -65,22 +75,28 @@ let lu_factor m =
           a.((i * n) + j) <- a.((i * n) + j) -. (factor *. a.((k * n) + j))
         done
     done
-  done;
-  { ln = n; lu = a; perm }
+  done
 
-(* Smallest and largest pivot magnitude of a completed factorisation —
-   the U diagonal under partial pivoting. Their ratio is the cheap
+let lu_factor m =
+  let f = lu_create m.n in
+  lu_factor_into m f;
+  f
+
+type pivot_range = { mutable pivot_min : float; mutable pivot_max : float }
+
+let empty_pivot_range () = { pivot_min = infinity; pivot_max = 0.0 }
+
+(* Widen [r] by the pivot magnitudes of a completed factorisation — the
+   U diagonal under partial pivoting. Their ratio is the cheap
    conditioning proxy the solver telemetry reports: a ratio near
    1/epsilon means the solve is running out of significant digits. *)
-let pivot_range f =
+let widen_pivot_range r f =
   let n = f.ln in
-  let mn = ref infinity and mx = ref 0.0 in
   for i = 0 to n - 1 do
     let p = abs_float f.lu.((i * n) + i) in
-    if p < !mn then mn := p;
-    if p > !mx then mx := p
-  done;
-  (!mn, !mx)
+    if p < r.pivot_min then r.pivot_min <- p;
+    if p > r.pivot_max then r.pivot_max <- p
+  done
 
 let lu_solve_into f ~b ~x =
   let n = f.ln in

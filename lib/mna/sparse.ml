@@ -136,14 +136,12 @@ let lu_solve f b =
 
 let nnz f = f.nnz
 
-let pivot_range f =
-  let mn = ref infinity and mx = ref 0.0 in
+let widen_pivot_range (r : Matrix.pivot_range) f =
   for i = 0 to f.n - 1 do
     let d = abs_float f.diag.(i) in
-    if d < !mn then mn := d;
-    if d > !mx then mx := d
-  done;
-  (!mn, !mx)
+    if d < r.pivot_min then r.pivot_min <- d;
+    if d > r.pivot_max then r.pivot_max <- d
+  done
 
 (* Symbolic factorisation: the pivot order and the fill pattern of L and
    U depend only on the sparsity structure once the pivot sequence is

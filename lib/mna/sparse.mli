@@ -32,9 +32,9 @@ val lu_solve : lu -> float array -> float array
 val nnz : lu -> int
 (** Stored nonzeros of [L] + [U] (fill-in included), for reporting. *)
 
-val pivot_range : lu -> float * float
-(** [(min, max)] absolute value over the U diagonal — the same
-    conditioning proxy as {!Matrix.pivot_range}. *)
+val widen_pivot_range : Matrix.pivot_range -> lu -> unit
+(** Widen the range by the absolute values of the U diagonal — the
+    same conditioning proxy as {!Matrix.widen_pivot_range}. *)
 
 (** {1 Symbolic-factorisation reuse}
 
