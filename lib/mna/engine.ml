@@ -98,13 +98,22 @@ type scan = {
 
 let new_scan () = { delta = 0.0; scale = 0.0; stress = 0.0; lte = 0.0 }
 
+(* The scans below run on every Newton pass or substep while telemetry
+   is on, so they check the vector lengths once and then read without
+   bounds checks. *)
+let same_length who a b =
+  if Array.length a <> Array.length b then
+    invalid_arg ("Engine." ^ who ^ ": dimension mismatch")
+
 (* Update norm and iterate scale of the Newton iterate [xn]. *)
 let update_norm sc prev xn =
+  same_length "update_norm" prev xn;
   let delta = ref 0.0 and scale = ref 0.0 in
   for i = 0 to Array.length xn - 1 do
-    let d = abs_float (xn.(i) -. prev.(i)) in
+    let v = Array.unsafe_get xn i in
+    let d = abs_float (v -. Array.unsafe_get prev i) in
     if d > !delta then delta := d;
-    let m = abs_float xn.(i) in
+    let m = abs_float v in
     if m > !scale then scale := m
   done;
   sc.delta <- !delta;
@@ -114,19 +123,26 @@ let converged sc = sc.delta <= (newton_rtol *. sc.scale) +. newton_atol
 
 (* Stress (largest relative state motion over the substep x0 -> x1)
    and, given the state one substep earlier [xm], the LTE proxy (scaled
-   second difference, ~ h^2/2 * |x''|; 0 without [xm]). *)
+   second difference, ~ h^2/2 * |x''|; 0 without [xm]). The larger
+   magnitude is picked with a plain comparison, not [Float.max]: with a
+   NaN on either side both skip the entry, and the comparison costs no
+   C call per entry. *)
 let motion ?xm sc x0 x1 =
+  same_length "motion" x0 x1;
+  (match xm with Some xm -> same_length "motion" x0 xm | None -> ());
   let stress = ref 0.0 and lte = ref 0.0 in
   for i = 0 to Array.length x0 - 1 do
-    let m = Float.max (abs_float x0.(i)) (abs_float x1.(i)) in
+    let u = Array.unsafe_get x0 i and v = Array.unsafe_get x1 i in
+    let a = abs_float u and b = abs_float v in
+    let m = if a >= b then a else b in
     if m > newton_atol then begin
-      let r = abs_float (x1.(i) -. x0.(i)) /. m in
+      let r = abs_float (v -. u) /. m in
       if r > !stress then stress := r;
       match xm with
       | None -> ()
       | Some xm ->
           let l =
-            abs_float (x1.(i) -. (2.0 *. x0.(i)) +. xm.(i)) /. (2.0 *. m)
+            abs_float (v -. (2.0 *. u) +. Array.unsafe_get xm i) /. (2.0 *. m)
           in
           if l > !lte then lte := l
     end
