@@ -575,6 +575,67 @@ let test_stepper_counts_match_engine () =
         engine_counts stepper_counts)
     parity_cases
 
+(* ---- Allocation per reporting step ---- *)
+
+(* Minor-heap words allocated per reporting step on RC20 with the
+   journal off. The paper fidelity re-stamps and re-factors its dense
+   system in buffers its stepper owns and resolves inputs and output to
+   indices at creation, so a step allocates a few boxed floats whatever
+   the circuit size (it allocated the matrix, the LU and a solution
+   vector on every pass before). The bounds sit above what the engines
+   measure: 24, 22, ~198 and 4 words. *)
+let alloc_bounds =
+  [
+    ("paper whole run", 48.0);
+    ("paper stepper", 48.0);
+    ("fast stepper", 256.0);
+    ("eln stepper", 16.0);
+  ]
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let test_alloc_per_step () =
+  Journal.disable ();
+  let tc = Circuits.rc_ladder 20 and dt = 1e-5 in
+  (* The difference of two run lengths leaves out the per-run set-up. *)
+  let run nsteps () =
+    ignore
+      (Engine.run_testcase_spice tc ~dt ~t_stop:(float_of_int nsteps *. dt))
+  in
+  let whole = (minor_words (run 2000) -. minor_words (run 1000)) /. 1000.0 in
+  let names = List.map fst tc.stimuli in
+  let iv = Array.make (List.length names) 1.0 in
+  let per_step step =
+    for _ = 1 to 10 do ignore (step ()) done;
+    minor_words (fun () -> for _ = 1 to 1000 do ignore (step ()) done)
+    /. 1000.0
+  in
+  let spice fidelity =
+    let st =
+      Engine.Spice_stepper.create ~fidelity tc.circuit ~inputs:names
+        ~output:tc.output ~dt
+    in
+    per_step (fun () -> Engine.Spice_stepper.step st ~input_values:iv)
+  in
+  let eln =
+    let st =
+      Engine.Eln_stepper.create tc.circuit ~inputs:names ~output:tc.output ~dt
+    in
+    per_step (fun () -> Engine.Eln_stepper.step st ~input_values:iv)
+  in
+  let measured =
+    [ whole; spice `Paper; spice `Fast; eln ]
+  in
+  List.iter2
+    (fun (label, bound) words ->
+      if words > bound then
+        Alcotest.failf "%s: %.1f minor words per step, bound %.0f" label words
+          bound)
+    alloc_bounds measured
+
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "amsvp-mna-fast"
@@ -593,6 +654,7 @@ let () =
             test_stepper_matches_engine;
           Alcotest.test_case "stepper counts match engine" `Quick
             test_stepper_counts_match_engine;
+          Alcotest.test_case "allocation per step" `Quick test_alloc_per_step;
         ] );
       ( "random",
         qt
