@@ -199,6 +199,27 @@ let rel_close a b =
     (fun u w -> abs_float (u -. w) <= 1e-12 *. (1.0 +. max (abs_float u) (abs_float w)))
     a b
 
+(* [entries] plus 25 on the diagonal of a 10 x 10 matrix: the sparse
+   direct solve, and analyze + refactor, agree with the dense solver. *)
+let sparse_matches_dense entries =
+  let n = 10 in
+  let triplets = entries @ List.init n (fun i -> (i, i, 25.0)) in
+  let b = Array.init n (fun i -> float_of_int (i - 4)) in
+  let xd = dense_solution triplets ~n b in
+  let xs = Sparse.lu_solve (Sparse.lu_factor ~n triplets) b in
+  let sym = Sparse.analyze ~n triplets in
+  let xr = Sparse.lu_solve (Sparse.refactor sym triplets) b in
+  (* Numeric refactor on the same pattern with different values:
+     scale each entry, keeping diagonal dominance. *)
+  let triplets' =
+    List.mapi
+      (fun k (i, j, v) -> (i, j, v *. (1.0 +. (0.04 *. float_of_int (k mod 7)))))
+      triplets
+  in
+  let xd' = dense_solution triplets' ~n b in
+  let xr' = Sparse.lu_solve (Sparse.refactor sym triplets') b in
+  rel_close xd xs && rel_close xd xr && rel_close xd' xr'
+
 let prop_sparse_matches_dense =
   QCheck.Test.make
     ~name:"sparse direct, and analyze+refactor, match the dense solver"
@@ -206,25 +227,20 @@ let prop_sparse_matches_dense =
     QCheck.(
       list_of_size (Gen.int_range 5 40)
         (triple (int_range 0 9) (int_range 0 9) (float_range (-2.0) 2.0)))
-    (fun entries ->
-      let n = 10 in
-      let triplets = entries @ List.init n (fun i -> (i, i, 25.0)) in
-      let b = Array.init n (fun i -> float_of_int (i - 4)) in
-      let xd = dense_solution triplets ~n b in
-      let xs = Sparse.lu_solve (Sparse.lu_factor ~n triplets) b in
-      let sym = Sparse.analyze ~n triplets in
-      let xr = Sparse.lu_solve (Sparse.refactor sym triplets) b in
-      (* Numeric refactor on the same pattern with different values:
-         scale each entry, keeping diagonal dominance. *)
-      let triplets' =
-        List.mapi
-          (fun k (i, j, v) ->
-            (i, j, v *. (1.0 +. (0.04 *. float_of_int (k mod 7)))))
-          triplets
-      in
-      let xd' = dense_solution triplets' ~n b in
-      let xr' = Sparse.lu_solve (Sparse.refactor sym triplets') b in
-      rel_close xd xs && rel_close xd xr && rel_close xd' xr')
+    sparse_matches_dense
+
+(* A case the property once found: with a loose pivot threshold the
+   sparse LU took a pivot about 1/200 of its column maximum because its
+   row was sparser, and lost five digits on this well-conditioned
+   matrix. *)
+let test_sparse_pivot_threshold () =
+  Alcotest.(check bool) "sparse matches dense" true
+    (sparse_matches_dense
+       [
+         (2, 5, -0.589); (1, 2, 1.917); (5, 0, 1.917); (0, 0, -1.005);
+         (0, 1, 1.401); (5, 6, -1.784); (0, 0, -0.411); (7, 1, -0.137);
+         (1, 3, -0.043);
+       ])
 
 let test_stale_pivot_fallback () =
   (* analyze picks its pivot order from the values it is given; feed
@@ -668,6 +684,8 @@ let () =
         [
           Alcotest.test_case "stale pivot fallback" `Quick
             test_stale_pivot_fallback;
+          Alcotest.test_case "pivot threshold" `Quick
+            test_sparse_pivot_threshold;
           Alcotest.test_case "dc sparse solver" `Quick test_dc_sparse_solver;
           Alcotest.test_case "eln stepper sparse" `Quick test_eln_stepper_sparse;
           Alcotest.test_case "singular parity" `Quick test_singular_parity;
