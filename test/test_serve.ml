@@ -705,154 +705,169 @@ let wait_for_socket path =
   in
   go 100
 
+(* Fork a daemon serving [config], run [session] on a client
+   connection and return what it collected, with the daemon's exit
+   status and whether it said bye. The daemon is shut down and reaped
+   before this returns, whatever [session] does: tests check only
+   afterwards, because a failed check inside the session would leave the
+   forked daemon running and a piped test run hanging on it. *)
+let with_daemon ?(setup = ignore) (config : Daemon.config) session =
+  let sock = config.socket_path in
+  if Sys.file_exists sock then Sys.remove sock;
+  match Unix.fork () with
+  | 0 ->
+      (* Daemon process; _exit so the test runner's state is not
+         flushed twice. *)
+      (try
+         setup ();
+         Daemon.serve config
+       with _ -> Unix._exit 1);
+      Unix._exit 0
+  | pid ->
+      let bye = ref false in
+      let shutdown c =
+        (try
+           Client.send c Protocol.Shutdown;
+           bye := Client.recv c = Ok Protocol.Bye
+         with _ -> ());
+        Client.close c
+      in
+      let outcome =
+        try
+          wait_for_socket sock;
+          let c = Client.connect sock in
+          Ok (Fun.protect ~finally:(fun () -> shutdown c) (fun () -> session c))
+        with e -> Error e
+      in
+      if not !bye then Unix.kill pid Sys.sigkill;
+      let _, status = Unix.waitpid [] pid in
+      match outcome with
+      | Error e -> raise e
+      | Ok collected -> (collected, status, !bye)
+
+let check_daemon_exit status bye =
+  Alcotest.(check bool) "daemon said bye" true bye;
+  match status with
+  | Unix.WEXITED 0 -> ()
+  | Unix.WEXITED n -> Alcotest.failf "daemon exited %d" n
+  | _ -> Alcotest.fail "daemon killed"
+
+let response_text = function
+  | Ok r -> Protocol.encode_response r
+  | Error m -> m
+
 let test_daemon_session () =
   let sock = tmp (Printf.sprintf "amsvp_serve_%d.sock" (Unix.getpid ())) in
   let metrics = tmp (Printf.sprintf "amsvp_serve_%d.prom" (Unix.getpid ())) in
   let trace = tmp (Printf.sprintf "amsvp_serve_%d.trace" (Unix.getpid ())) in
   List.iter (fun p -> if Sys.file_exists p then Sys.remove p)
     [ sock; metrics; trace ];
-  match Unix.fork () with
-  | 0 ->
-      (* Daemon process; _exit so the test runner's state is not
-         flushed twice. *)
-      (try
-         Obs.enable ();
-         Journal.enable ();
-         Daemon.serve
-           {
-             (Daemon.default_config ~socket_path:sock) with
-             workers = 2;
-             metrics_out = Some metrics;
-             trace_out = Some trace;
-           }
-       with _ -> Unix._exit 1);
-      Unix._exit 0
-  | pid ->
-      wait_for_socket sock;
-      let c = Client.connect sock in
-      Client.send c Protocol.Ping;
-      (match Client.recv c with
-      | Ok Protocol.Pong -> ()
-      | other ->
-          Alcotest.failf "expected pong, got %s"
-            (match other with Ok r -> Protocol.encode_response r | Error m -> m));
-      let spec_text = Spec.to_string small_spec in
-      let expected = Spec.point_count small_spec in
-      let streamed = ref 0 in
-      (match
-         Client.submit c ~spec_text
-           ~on_event:(fun resp ->
-             match resp with Protocol.Point _ -> incr streamed | _ -> ())
-           ()
-       with
-      | Ok (Protocol.Done { points; complete; _ }) ->
-          Alcotest.(check int) "streamed" expected !streamed;
-          Alcotest.(check int) "done count" expected points;
-          Alcotest.(check bool) "complete" true complete
-      | Ok r ->
-          Alcotest.failf "unexpected final frame %s" (Protocol.encode_response r)
-      | Error m -> Alcotest.failf "submit: %s" m);
-      Client.send c Protocol.Stats;
-      (match Client.recv c with
-      | Ok (Protocol.Stats_reply st) ->
-          Alcotest.(check bool) "requests counted" true (st.st_requests >= 1);
-          Alcotest.(check int) "points counted" expected st.st_points;
-          Alcotest.(check int) "workers" 2 st.st_workers;
-          Alcotest.(check bool) "workers spawned" true (st.st_spawned >= 2);
-          Alcotest.(check int) "nothing in flight" 0 st.st_in_flight;
-          Alcotest.(check bool) "uptime sane" true (st.st_uptime_s >= 0.0);
-          Alcotest.(check bool) "heap words sane" true (st.st_heap_words > 0);
-          Alcotest.(check int) "no crashes" 0 st.st_crashed
-      | other ->
-          Alcotest.failf "expected stats, got %s"
-            (match other with
-            | Ok r -> Protocol.encode_response r
-            | Error m -> m));
-      Client.send c Protocol.Shutdown;
-      (match Client.recv c with
-      | Ok Protocol.Bye -> ()
-      | _ -> Alcotest.fail "expected bye");
-      Client.close c;
-      let _, status = Unix.waitpid [] pid in
-      (match status with
-      | Unix.WEXITED 0 -> ()
-      | Unix.WEXITED n -> Alcotest.failf "daemon exited %d" n
-      | _ -> Alcotest.fail "daemon killed");
-      Alcotest.(check bool) "socket unlinked" false (Sys.file_exists sock);
-      (* The shutdown path must leave a parseable metrics textfile and
-         a trace document behind. *)
-      Alcotest.(check bool) "metrics written" true (Sys.file_exists metrics);
-      let slurp p =
-        let ic = open_in_bin p in
-        let s = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        s
-      in
-      let contains hay needle =
-        let nh = String.length hay and nn = String.length needle in
-        let rec go i =
-          if i + nn > nh then false
-          else String.sub hay i nn = needle || go (i + 1)
+  let spec_text = Spec.to_string small_spec in
+  let expected = Spec.point_count small_spec in
+  let (pong, streamed, final, stats), status, bye =
+    with_daemon
+      ~setup:(fun () ->
+        Obs.enable ();
+        Journal.enable ())
+      {
+        (Daemon.default_config ~socket_path:sock) with
+        workers = 2;
+        metrics_out = Some metrics;
+        trace_out = Some trace;
+      }
+      (fun c ->
+        Client.send c Protocol.Ping;
+        let pong = Client.recv c in
+        let streamed = ref 0 in
+        let final =
+          Client.submit c ~spec_text
+            ~on_event:(fun resp ->
+              match resp with Protocol.Point _ -> incr streamed | _ -> ())
+            ()
         in
-        go 0
-      in
-      let prom = slurp metrics in
-      Alcotest.(check bool) "metrics mention the service" true
-        (contains prom "amsvp_serve_in_flight");
-      Alcotest.(check bool) "trace written" true (Sys.file_exists trace);
-      let tr = slurp trace in
-      Alcotest.(check bool) "trace is a trace document" true
-        (contains tr "\"traceEvents\"");
-      List.iter Sys.remove [ metrics; trace ]
+        Client.send c Protocol.Stats;
+        (pong, !streamed, final, Client.recv c))
+  in
+  check_daemon_exit status bye;
+  (match pong with
+  | Ok Protocol.Pong -> ()
+  | other -> Alcotest.failf "expected pong, got %s" (response_text other));
+  (match final with
+  | Ok (Protocol.Done { points; complete; _ }) ->
+      Alcotest.(check int) "streamed" expected streamed;
+      Alcotest.(check int) "done count" expected points;
+      Alcotest.(check bool) "complete" true complete
+  | other -> Alcotest.failf "unexpected final frame %s" (response_text other));
+  (match stats with
+  | Ok (Protocol.Stats_reply st) ->
+      Alcotest.(check bool) "requests counted" true (st.st_requests >= 1);
+      Alcotest.(check int) "points counted" expected st.st_points;
+      Alcotest.(check int) "workers" 2 st.st_workers;
+      Alcotest.(check bool) "workers spawned" true (st.st_spawned >= 2);
+      Alcotest.(check int) "nothing in flight" 0 st.st_in_flight;
+      Alcotest.(check bool) "uptime sane" true (st.st_uptime_s >= 0.0);
+      Alcotest.(check bool) "heap words sane" true (st.st_heap_words > 0);
+      Alcotest.(check int) "no crashes" 0 st.st_crashed
+  | other -> Alcotest.failf "expected stats, got %s" (response_text other));
+  Alcotest.(check bool) "socket unlinked" false (Sys.file_exists sock);
+  (* The shutdown path must leave a parseable metrics textfile and
+     a trace document behind. *)
+  Alcotest.(check bool) "metrics written" true (Sys.file_exists metrics);
+  let slurp p =
+    let ic = open_in_bin p in
+    let s = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    s
+  in
+  let contains hay needle =
+    let nh = String.length hay and nn = String.length needle in
+    let rec go i =
+      if i + nn > nh then false
+      else String.sub hay i nn = needle || go (i + 1)
+    in
+    go 0
+  in
+  let prom = slurp metrics in
+  Alcotest.(check bool) "metrics mention the service" true
+    (contains prom "amsvp_serve_in_flight");
+  Alcotest.(check bool) "trace written" true (Sys.file_exists trace);
+  let tr = slurp trace in
+  Alcotest.(check bool) "trace is a trace document" true
+    (contains tr "\"traceEvents\"");
+  List.iter Sys.remove [ metrics; trace ]
 
 (* Induce per-point timeouts with a microscopic default budget: every
    point must come back with a Timeout verdict and the stats reply must
    surface the count. *)
 let test_daemon_timeout_counters () =
   let sock = tmp (Printf.sprintf "amsvp_serve_to_%d.sock" (Unix.getpid ())) in
-  if Sys.file_exists sock then Sys.remove sock;
-  match Unix.fork () with
-  | 0 ->
-      (try
-         Daemon.serve
-           {
-             (Daemon.default_config ~socket_path:sock) with
-             workers = 2;
-             point_timeout_s = Some 1e-9;
-           }
-       with _ -> Unix._exit 1);
-      Unix._exit 0
-  | pid ->
-      wait_for_socket sock;
-      let c = Client.connect sock in
-      let spec_text = Spec.to_string small_spec in
-      let expected = Spec.point_count small_spec in
-      (match Client.submit c ~spec_text () with
-      | Ok (Protocol.Done { points; unhealthy; complete; _ }) ->
-          Alcotest.(check int) "all points resolved" expected points;
-          Alcotest.(check bool) "timeouts flagged unhealthy" true
-            (unhealthy > 0);
-          Alcotest.(check bool) "complete" true complete
-      | Ok r ->
-          Alcotest.failf "unexpected final frame %s" (Protocol.encode_response r)
-      | Error m -> Alcotest.failf "submit: %s" m);
-      Client.send c Protocol.Stats;
-      (match Client.recv c with
-      | Ok (Protocol.Stats_reply st) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "timeouts surfaced (got %d)" st.st_timeouts)
-            true (st.st_timeouts > 0)
-      | _ -> Alcotest.fail "expected stats");
-      Client.send c Protocol.Shutdown;
-      (match Client.recv c with
-      | Ok Protocol.Bye -> ()
-      | _ -> Alcotest.fail "expected bye");
-      Client.close c;
-      let _, status = Unix.waitpid [] pid in
-      match status with
-      | Unix.WEXITED 0 -> ()
-      | Unix.WEXITED n -> Alcotest.failf "daemon exited %d" n
-      | _ -> Alcotest.fail "daemon killed"
+  let spec_text = Spec.to_string small_spec in
+  let expected = Spec.point_count small_spec in
+  let (final, stats), status, bye =
+    with_daemon
+      {
+        (Daemon.default_config ~socket_path:sock) with
+        workers = 2;
+        point_timeout_s = Some 1e-9;
+      }
+      (fun c ->
+        let final = Client.submit c ~spec_text () in
+        Client.send c Protocol.Stats;
+        (final, Client.recv c))
+  in
+  check_daemon_exit status bye;
+  (match final with
+  | Ok (Protocol.Done { points; unhealthy; complete; _ }) ->
+      Alcotest.(check int) "all points resolved" expected points;
+      Alcotest.(check bool) "timeouts flagged unhealthy" true (unhealthy > 0);
+      Alcotest.(check bool) "complete" true complete
+  | other -> Alcotest.failf "unexpected final frame %s" (response_text other));
+  match stats with
+  | Ok (Protocol.Stats_reply st) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "timeouts surfaced (got %d)" st.st_timeouts)
+        true (st.st_timeouts > 0)
+  | other -> Alcotest.failf "expected stats, got %s" (response_text other)
 
 (* A daemon under --werror must answer a submit whose value-range
    screen errors with a structured [Rejected] frame carrying the
@@ -860,129 +875,94 @@ let test_daemon_timeout_counters () =
    requests (including a clean sweep) still succeed. *)
 let test_daemon_werror_rejection () =
   let sock = tmp (Printf.sprintf "amsvp_serve_we_%d.sock" (Unix.getpid ())) in
-  if Sys.file_exists sock then Sys.remove sock;
-  match Unix.fork () with
-  | 0 ->
-      (try
-         Daemon.serve
-           {
-             (Daemon.default_config ~socket_path:sock) with
-             workers = 2;
-             werror = true;
-           }
-       with _ -> Unix._exit 1);
-      Unix._exit 0
-  | pid ->
-      wait_for_socket sock;
-      let c = Client.connect sock in
-      (* An absurdly small amplitude budget: the interpreter proves the
-         output bound exceeds it (AMS063, a warning), werror upgrades
-         it to an error, the screen rejects the submit. *)
-      let doomed =
-        { small_spec with Spec.name = "doomed"; amplitude_limit = Some 1e-9 }
-      in
-      (match Client.submit c ~spec_text:(Spec.to_string doomed) () with
-      | Ok (Protocol.Rejected { message; findings }) ->
-          Alcotest.(check bool) "message names the screen" true
-            (String.length message > 0);
-          Alcotest.(check bool) "findings delivered" true (findings <> []);
-          Alcotest.(check bool) "AMS063 among them" true
-            (List.exists (fun f -> f.Diag.code = "AMS063") findings);
-          List.iter
-            (fun f ->
-              Alcotest.(check bool) "every finding has a registered code"
-                true
-                (Diag.is_code f.Diag.code))
-            findings
-      | Ok r ->
-          Alcotest.failf "expected rejection, got %s"
-            (Protocol.encode_response r)
-      | Error m -> Alcotest.failf "submit: %s" m);
-      (* Daemon must still be alive and serving. *)
-      Client.send c Protocol.Ping;
-      (match Client.recv c with
-      | Ok Protocol.Pong -> ()
-      | _ -> Alcotest.fail "daemon dead after rejection");
-      (* A clean spec (no amplitude budget ⇒ no AMS063) still runs. *)
-      let expected = Spec.point_count small_spec in
-      (match Client.submit c ~spec_text:(Spec.to_string small_spec) () with
-      | Ok (Protocol.Done { points; complete; _ }) ->
-          Alcotest.(check int) "clean sweep ran" expected points;
-          Alcotest.(check bool) "complete" true complete
-      | Ok r ->
-          Alcotest.failf "unexpected final frame %s"
-            (Protocol.encode_response r)
-      | Error m -> Alcotest.failf "clean submit: %s" m);
-      Client.send c Protocol.Shutdown;
-      (match Client.recv c with
-      | Ok Protocol.Bye -> ()
-      | _ -> Alcotest.fail "expected bye");
-      Client.close c;
-      let _, status = Unix.waitpid [] pid in
-      (match status with
-      | Unix.WEXITED 0 -> ()
-      | Unix.WEXITED n -> Alcotest.failf "daemon exited %d" n
-      | _ -> Alcotest.fail "daemon killed")
+  (* An absurdly small amplitude budget: the interpreter proves the
+     output bound exceeds it (AMS063, a warning), werror upgrades it to
+     an error, the screen rejects the submit. *)
+  let doomed =
+    { small_spec with Spec.name = "doomed"; amplitude_limit = Some 1e-9 }
+  in
+  let (rejected, pong, clean), status, bye =
+    with_daemon
+      {
+        (Daemon.default_config ~socket_path:sock) with
+        workers = 2;
+        werror = true;
+      }
+      (fun c ->
+        let rejected = Client.submit c ~spec_text:(Spec.to_string doomed) () in
+        (* Daemon must still be alive and serving. *)
+        Client.send c Protocol.Ping;
+        let pong = Client.recv c in
+        (* A clean spec (no amplitude budget ⇒ no AMS063) still runs. *)
+        (rejected, pong, Client.submit c ~spec_text:(Spec.to_string small_spec) ()))
+  in
+  check_daemon_exit status bye;
+  (match rejected with
+  | Ok (Protocol.Rejected { message; findings }) ->
+      Alcotest.(check bool) "message names the screen" true
+        (String.length message > 0);
+      Alcotest.(check bool) "findings delivered" true (findings <> []);
+      Alcotest.(check bool) "AMS063 among them" true
+        (List.exists (fun f -> f.Diag.code = "AMS063") findings);
+      List.iter
+        (fun f ->
+          Alcotest.(check bool) "every finding has a registered code" true
+            (Diag.is_code f.Diag.code))
+        findings
+  | other -> Alcotest.failf "expected rejection, got %s" (response_text other));
+  (match pong with
+  | Ok Protocol.Pong -> ()
+  | _ -> Alcotest.fail "daemon dead after rejection");
+  let expected = Spec.point_count small_spec in
+  match clean with
+  | Ok (Protocol.Done { points; complete; _ }) ->
+      Alcotest.(check int) "clean sweep ran" expected points;
+      Alcotest.(check bool) "complete" true complete
+  | other -> Alcotest.failf "unexpected final frame %s" (response_text other)
 
 (* The prepared-sweep cache is LRU: a hit refreshes its entry. With
    room for two, submitting A B A C evicts B (least recently used), so
    the final A hits; a FIFO cache would have evicted A instead. *)
 let test_daemon_ctx_lru () =
   let sock = tmp (Printf.sprintf "amsvp_serve_lru_%d.sock" (Unix.getpid ())) in
-  if Sys.file_exists sock then Sys.remove sock;
-  match Unix.fork () with
-  | 0 ->
-      (try
-         Daemon.serve
-           {
-             (Daemon.default_config ~socket_path:sock) with
-             workers = 1;
-             ctx_cache_max = 2;
-           }
-       with _ -> Unix._exit 1);
-      Unix._exit 0
-  | pid ->
-      wait_for_socket sock;
-      let c = Client.connect sock in
-      let hits () =
-        Client.send c Protocol.Stats;
-        match Client.recv c with
-        | Ok (Protocol.Stats_reply st) -> (st.st_ctx_hits, st.st_ctx_misses)
-        | _ -> Alcotest.fail "expected stats"
-      in
-      let submit name =
-        let spec = { small_spec with Spec.name; samples = 1; corners = [] } in
-        match Client.submit c ~spec_text:(Spec.to_string spec) () with
-        | Ok (Protocol.Done { complete = true; _ }) -> ()
-        | Ok r ->
-            Alcotest.failf "unexpected final frame %s"
-              (Protocol.encode_response r)
-        | Error m -> Alcotest.failf "submit %s: %s" name m
-      in
-      (* Counts are taken first and checked after the shutdown, so a
-         failing check never leaves the daemon running. *)
-      let counts =
-        Fun.protect
-          ~finally:(fun () ->
-            Client.send c Protocol.Shutdown;
-            ignore (Client.recv c);
-            Client.close c)
-          (fun () ->
-            List.iter submit [ "lru_a"; "lru_b"; "lru_a"; "lru_c" ];
-            let before = hits () in
-            submit "lru_a";
-            (before, hits ()))
-      in
-      let _, status = Unix.waitpid [] pid in
-      (match status with
-      | Unix.WEXITED 0 -> ()
-      | Unix.WEXITED n -> Alcotest.failf "daemon exited %d" n
-      | _ -> Alcotest.fail "daemon killed");
-      let (h0, m0), (h1, m1) = counts in
-      Alcotest.(check (pair int int)) "A B A C: one hit, three misses"
-        (1, 3) (h0, m0);
+  let (finals, before, after), status, bye =
+    with_daemon
+      {
+        (Daemon.default_config ~socket_path:sock) with
+        workers = 1;
+        ctx_cache_max = 2;
+      }
+      (fun c ->
+        let hits () =
+          Client.send c Protocol.Stats;
+          match Client.recv c with
+          | Ok (Protocol.Stats_reply st) -> Some (st.st_ctx_hits, st.st_ctx_misses)
+          | _ -> None
+        in
+        let submit name =
+          let spec = { small_spec with Spec.name; samples = 1; corners = [] } in
+          (name, Client.submit c ~spec_text:(Spec.to_string spec) ())
+        in
+        let finals = List.map submit [ "lru_a"; "lru_b"; "lru_a"; "lru_c" ] in
+        let before = hits () in
+        let last = submit "lru_a" in
+        (finals @ [ last ], before, hits ()))
+  in
+  check_daemon_exit status bye;
+  List.iter
+    (fun (name, final) ->
+      match final with
+      | Ok (Protocol.Done { complete = true; _ }) -> ()
+      | other ->
+          Alcotest.failf "submit %s: final frame %s" name (response_text other))
+    finals;
+  match (before, after) with
+  | Some (h0, m0), Some (h1, m1) ->
+      Alcotest.(check (pair int int)) "A B A C: one hit, three misses" (1, 3)
+        (h0, m0);
       Alcotest.(check int) "last A hits" (h0 + 1) h1;
       Alcotest.(check int) "no new miss" m0 m1
+  | _ -> Alcotest.fail "expected stats"
 
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
