@@ -25,7 +25,18 @@
     [input_values] of one [step] for the whole tick. With a constant
     stimulus the two are therefore bit-identical, and they count the
     same solver work in the [amsvp_mna_*] counters — a stepper flushes
-    them after every [step], a whole run once at its end. *)
+    them after every [step], a whole run once at its end.
+
+    The bookkeeping around that cost model is resolved before the first
+    step: {!System.build} turns every device's nodes, branch current and
+    input into indices, a stepper maps its inputs to the system's input
+    slots and its output to an index at creation, and the paper
+    fidelity stamps, factors and solves into a matrix, an LU workspace
+    and solution buffers its stepper owns. A reporting step therefore
+    looks nothing up by name and allocates only a few boxed floats. The
+    [`Paper] cost model itself is unchanged: the same passes, each
+    re-stamping and re-factoring the whole system, and the same
+    floating-point operations in the same order. *)
 
 type stats = {
   steps : int;  (** reporting steps taken *)
@@ -137,7 +148,10 @@ module Eln_stepper : sig
   (** [inputs] declares the input signal order used by [step]; [solver]
       selects the linear-algebra back-end (default [`Dense]; [`Sparse]
       factors with {!Sparse} — the right choice for large networks, see
-      the dense-vs-sparse ablation). *)
+      the dense-vs-sparse ablation).
+      @raise Invalid_argument if a source reads an input missing from
+      [inputs], or [output] is not a quantity {!System.output} can
+      read. *)
 
   val step : t -> input_values:float array -> float
   (** Advance one timestep with the given input samples (ordered as the
@@ -176,7 +190,8 @@ module Spice_stepper : sig
   (** [fidelity] as in {!spice_like} (default [`Paper]). With [`Fast]
       the factor cache and the adaptive substep count persist across
       [step] calls — symbolic-factorisation reuse is what makes
-      lock-step co-simulation cheap. *)
+      lock-step co-simulation cheap.
+      @raise Invalid_argument as {!Eln_stepper.create}. *)
 
   val step : t -> input_values:float array -> float
   (** Advance one reporting step with [input_values] (ordered as the
